@@ -5,8 +5,9 @@
  * Runs a scaled-down but fully deterministic sweep — every renamer
  * kind over a few register-file sizes, plus two SMT mixes — through
  * the SweepRunner with the on-disk cache disabled, and asserts the
- * exact committed-instruction and cycle counts against the checked-in
- * numbers in tests/golden/sweep.json. Any change to simulated numbers
+ * exact committed-instruction and cycle counts, and each operable
+ * point's six-bucket cycle breakdown, against the checked-in numbers
+ * in tests/golden/sweep.json. Any change to simulated numbers
  * (intended or not) trips these tests.
  *
  * Refreshing the goldens after an intended change:
@@ -118,6 +119,12 @@ writeGoldens(const std::vector<analysis::SweepPoint> &points,
         w.key("ok").boolean(m.ok);
         w.key("cycles").number(std::uint64_t(m.cycles));
         w.key("insts").number(std::uint64_t(m.insts));
+        if (m.ok) {
+            w.key("cycle_breakdown").beginObject();
+            for (const auto &[name, frac] : m.cycleBreakdown)
+                w.key(name).number(frac);
+            w.endObject();
+        }
         w.endObject();
     }
     w.endArray();
@@ -179,6 +186,20 @@ TEST(Golden, SweepNumbers)
                       g.find("insts")->asNumber()),
                   static_cast<std::uint64_t>(m.insts))
             << label.str();
+        if (!m.ok)
+            continue;
+        // Exact fractions: the JSON form round-trips doubles.
+        const trace::JsonValue *bd = g.find("cycle_breakdown");
+        ASSERT_TRUE(bd && bd->isObject()) << label.str();
+        const auto &pins = bd->members();
+        ASSERT_EQ(pins.size(), m.cycleBreakdown.size()) << label.str();
+        for (size_t b = 0; b < pins.size(); ++b) {
+            EXPECT_EQ(pins[b].first, m.cycleBreakdown[b].first)
+                << label.str();
+            EXPECT_EQ(pins[b].second.asNumber(),
+                      m.cycleBreakdown[b].second)
+                << label.str() << ", bucket " << pins[b].first;
+        }
     }
 }
 
