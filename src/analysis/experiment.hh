@@ -232,8 +232,13 @@ struct Measurement
     std::vector<double> threadCpi;   ///< per-thread CPI
     std::vector<double> threadDcachePerInst; ///< aggregate rate copy
     std::vector<InstCount> threadInsts;
+    /** Machine-level cycle-taxonomy leaf counts of the measured
+     *  interval: (TaxonomyBuckets::leafName, cycles), in leaf order —
+     *  a partition of `cycles`. The sweep cache stores these. */
+    std::vector<std::pair<std::string, double>> taxonomy;
     /** Commit-stall attribution: (bucket name, fraction of cycles),
-     *  from OooCpu's cycle_accounting group. Fractions sum to 1. */
+     *  always deriveCycleBreakdown(taxonomy, cycles). Fractions sum
+     *  to 1. */
     std::vector<std::pair<std::string, double>> cycleBreakdown;
     /** Named raw counters the benches drill into (e.g. the VCA
      *  rename-stall scalars). Only counters that exist on the
@@ -259,11 +264,27 @@ struct Measurement
                threadCpi == o.threadCpi &&
                threadDcachePerInst == o.threadDcachePerInst &&
                threadInsts == o.threadInsts &&
+               taxonomy == o.taxonomy &&
                cycleBreakdown == o.cycleBreakdown &&
                counters == o.counters && sampling == o.sampling &&
                sampleRecords == o.sampleRecords;
     }
 };
+
+/** A core's machine-level taxonomy leaf counts, in leaf order. */
+std::vector<std::pair<std::string, double>>
+taxonomyLeaves(const cpu::OooCpu &cpu);
+
+/**
+ * The six flat cycle-breakdown fractions (CycleAccounting bucket
+ * order and names) of `cycles`, each the sum of its taxonomy leaves.
+ * Empty for an empty leaf set; throws FatalError on a name that is
+ * not a taxonomy leaf.
+ */
+std::vector<std::pair<std::string, double>>
+deriveCycleBreakdown(
+    const std::vector<std::pair<std::string, double>> &taxonomy,
+    Cycle cycles);
 
 /** Run a timing measurement for an arbitrary program/thread set. */
 Measurement runTiming(const std::vector<const isa::Program *> &programs,

@@ -16,59 +16,6 @@ namespace vca::analysis {
 
 namespace {
 
-/**
- * The common coarse bucketing both run formats can be projected onto:
- * the six flat commit-stall buckets plus idle. Used whenever the two
- * runs do not carry the same leaf set (e.g. a schema-v1 document or a
- * Measurement-derived input against a full taxonomy).
- */
-const char *
-coarseNameFor(const std::string &leaf)
-{
-    static const std::map<std::string, const char *> kMap = {
-        {"retiring", "retiring"},
-        {"idle", "idle"},
-        {"frontend_bound.icache", "frontend_bound"},
-        {"frontend_bound.fetch", "frontend_bound"},
-        {"bad_speculation.recovery", "window_shift"},
-        {"backend_memory.window_trap", "window_shift"},
-        {"backend_core.exec", "exec_stall"},
-        {"backend_memory.fill_latency", "exec_stall"},
-        {"backend_core.rename_freelist", "rename_stall"},
-        {"backend_memory.spill_stall", "rename_stall"},
-        {"backend_memory.dcache", "mem_stall"},
-        {"backend_memory.store_drain", "mem_stall"},
-    };
-    auto it = kMap.find(leaf);
-    return it == kMap.end() ? leaf.c_str() : it->second;
-}
-
-std::vector<std::pair<std::string, double>>
-coarsen(const std::vector<std::pair<std::string, double>> &leaves)
-{
-    std::map<std::string, double> sums;
-    std::vector<std::string> order;
-    for (const auto &[name, cycles] : leaves) {
-        const std::string coarse = coarseNameFor(name);
-        if (!sums.count(coarse))
-            order.push_back(coarse);
-        sums[coarse] += cycles;
-    }
-    std::vector<std::pair<std::string, double>> out;
-    for (const std::string &name : order)
-        out.emplace_back(name, sums[name]);
-    return out;
-}
-
-std::set<std::string>
-nameSet(const std::vector<std::pair<std::string, double>> &leaves)
-{
-    std::set<std::string> names;
-    for (const auto &[name, cycles] : leaves)
-        names.insert(name);
-    return names;
-}
-
 double
 numberAt(const trace::JsonValue &obj, const char *key,
          const std::string &path)
@@ -127,18 +74,14 @@ struct CumSeries
     std::vector<double> cycles; ///< cumulative cycles
     std::map<std::string, std::vector<double>> leaf; ///< per leaf
 
-    explicit CumSeries(const ExplainInput &in, bool coarse)
+    explicit CumSeries(const ExplainInput &in)
     {
         inst.push_back(0);
         cycles.push_back(0);
+        const std::vector<std::string> &names = in.intervalLeafNames;
         std::map<std::string, double> run;
-        std::vector<std::string> names;
-        for (const std::string &raw : in.intervalLeafNames) {
-            const std::string name =
-                coarse ? coarseNameFor(raw) : raw;
-            names.push_back(name);
+        for (const std::string &name : names)
             run.emplace(name, 0);
-        }
         for (const auto &[name, total] : run)
             leaf[name].push_back(0);
         double cyc = 0;
@@ -165,14 +108,13 @@ struct CumSeries
 };
 
 std::vector<IntervalHotspot>
-alignIntervals(const ExplainInput &a, const ExplainInput &b,
-               bool coarse)
+alignIntervals(const ExplainInput &a, const ExplainInput &b)
 {
     std::vector<IntervalHotspot> hotspots;
     if (a.intervals.size() < 2 || b.intervals.size() < 2)
         return hotspots;
 
-    const CumSeries ca(a, coarse), cb(b, coarse);
+    const CumSeries ca(a), cb(b);
     const double lastA = ca.inst.back(), lastB = cb.inst.back();
     const double n = std::min(lastA, lastB);
     if (n <= 0)
@@ -274,35 +216,34 @@ loadRunJson(const std::string &path, const std::string &label)
     in.cycles = numberAt(*summary, "cycles", path);
     in.insts = numberAt(*summary, "insts", path);
 
-    // Prefer the hierarchical taxonomy; a VCA_NTELEMETRY producer
-    // registers it all-zero, in which case the flat six-bucket
-    // accounting (always maintained) is the best available partition.
-    double taxSum = 0;
-    if (const trace::JsonValue *tax =
-            doc.findPath("cpu.cycle_accounting.taxonomy")) {
-        collectLeaves(*tax, "", in.leaves);
-        for (const auto &[name, cycles] : in.leaves)
-            taxSum += cycles;
-    }
-    if (taxSum <= 0) {
-        in.leaves.clear();
-        if (const trace::JsonValue *flat =
-                doc.findPath("cpu.cycle_accounting")) {
-            static const std::pair<const char *, const char *>
-                kFlat[] = {
-                    {"commit_active", "retiring"},
-                    {"frontend", "frontend_bound"},
-                    {"window_shift", "window_shift"},
-                    {"exec_stall", "exec_stall"},
-                    {"rename_freelist", "rename_stall"},
-                    {"mem_stall", "mem_stall"},
-                };
-            for (const auto &[json, coarse] : kFlat)
-                if (const trace::JsonValue *v = flat->find(json))
-                    if (v->isNumber())
-                        in.leaves.emplace_back(coarse, v->asNumber());
+    // The machine-level taxonomy is the only partition attribution
+    // uses; a document without one (or whose leaves do not sum to its
+    // cycles) cannot be explained, so say so rather than report 0%.
+    const trace::JsonValue *tax =
+        doc.findPath("cpu.cycle_accounting.taxonomy");
+    if (!tax || !tax->isObject()) {
+        const trace::JsonValue *mode = doc.findPath("config.mode");
+        if (mode && mode->kind() == trace::JsonValue::Kind::String &&
+            mode->asString() != "detailed") {
+            const std::string m = mode->asString();
+            fatal("stats-json %s: a %s-mode document has no cycle "
+                  "taxonomy to attribute; use --sampling --spec "
+                  "...,mode=%s for its sampling error, or --spec "
+                  "...,mode=%s to attribute it against another run",
+                  path.c_str(), m.c_str(), m.c_str(), m.c_str());
         }
+        fatal("stats-json %s: missing cpu.cycle_accounting.taxonomy",
+              path.c_str());
     }
+    collectLeaves(*tax, "", in.leaves);
+    double taxSum = 0;
+    for (const auto &[name, cycles] : in.leaves)
+        taxSum += cycles;
+    if (taxSum != in.cycles)
+        fatal("stats-json %s: taxonomy leaves sum to %s, not "
+              "summary.cycles %s", path.c_str(),
+              trace::jsonNumber(taxSum).c_str(),
+              trace::jsonNumber(in.cycles).c_str());
 
     if (const trace::JsonValue *intervals = doc.find("intervals")) {
         if (intervals->isArray() && intervals->size() > 0) {
@@ -346,18 +287,7 @@ explainInputFromMeasurement(const std::string &label,
     }
     in.cycles = static_cast<double>(m.cycles);
     in.insts = static_cast<double>(m.insts);
-    // Measurement carries only the flat six-bucket fractions (the
-    // struct is frozen for sweep-cache stability), so project them
-    // onto the coarse bucket names loadRunJson's fallback also uses.
-    static const std::pair<const char *, const char *> kCoarse[] = {
-        {"commit", "retiring"},  {"frontend", "frontend_bound"},
-        {"window", "window_shift"}, {"exec", "exec_stall"},
-        {"rename", "rename_stall"}, {"mem", "mem_stall"},
-    };
-    for (const auto &[name, fraction] : m.cycleBreakdown)
-        for (const auto &[from, to] : kCoarse)
-            if (name == from)
-                in.leaves.emplace_back(to, fraction * in.cycles);
+    in.leaves = m.taxonomy;
     return in;
 }
 
@@ -377,18 +307,10 @@ explain(const ExplainInput &a, const ExplainInput &b)
     r.cpiB = b.cpi();
     r.gap = r.cpiB - r.cpiA;
 
-    std::vector<std::pair<std::string, double>> leavesA = a.leaves;
-    std::vector<std::pair<std::string, double>> leavesB = b.leaves;
-    if (nameSet(leavesA) != nameSet(leavesB)) {
-        leavesA = coarsen(leavesA);
-        leavesB = coarsen(leavesB);
-        r.coarsened = true;
-    }
-
     std::map<std::string, double> cycA, cycB;
-    for (const auto &[name, cycles] : leavesA)
+    for (const auto &[name, cycles] : a.leaves)
         cycA[name] += cycles;
-    for (const auto &[name, cycles] : leavesB)
+    for (const auto &[name, cycles] : b.leaves)
         cycB[name] += cycles;
     std::set<std::string> names;
     for (const auto &[name, cycles] : cycA)
@@ -419,7 +341,7 @@ explain(const ExplainInput &a, const ExplainInput &b)
         r.gap != 0 ? attributed / r.gap
                    : (r.attributions.empty() ? 0 : 1.0);
 
-    r.hotspots = alignIntervals(a, b, r.coarsened);
+    r.hotspots = alignIntervals(a, b);
     return r;
 }
 
@@ -458,10 +380,7 @@ renderReport(const ExplainReport &r, bool markdown)
         os << " (" << formatDouble("%+.1f", 100 * r.gap / r.cpiA)
            << "% vs A)";
     os << hl << "  attributed: "
-       << formatDouble("%.1f", 100 * r.attributedFraction) << "%";
-    if (r.coarsened)
-        os << "  (leaf sets differ; coarsened to six-way buckets)";
-    os << "\n\n";
+       << formatDouble("%.1f", 100 * r.attributedFraction) << "%\n\n";
 
     if (markdown) {
         os << "| rank | leaf | cpi A | cpi B | delta | share |\n";
@@ -566,7 +485,6 @@ explainSelftest()
     };
 
     check(std::fabs(r.gap - 0.4) < 1e-9, "CPI gap is the planted 0.4");
-    check(!r.coarsened, "identical leaf sets are not coarsened");
     check(std::fabs(r.attributedFraction - 1.0) < 1e-9,
           "full partitions attribute 100% of the gap");
     check(!r.attributions.empty() &&
@@ -580,26 +498,6 @@ explainSelftest()
     check(!r.hotspots.empty() &&
               r.hotspots[0].topLeaf == "backend_memory.spill_stall",
           "top hotspot blames the planted leaf");
-
-    // Coarsening path: strip B down to a flat-style coarse input and
-    // make sure attribution still lands on the rename/spill bucket.
-    ExplainInput bc;
-    bc.label = "coarse";
-    bc.insts = b.insts;
-    bc.cycles = b.cycles;
-    bc.leaves = {
-        {"retiring", 100'000},
-        {"exec_stall", 30'000},
-        {"mem_stall", 20'000},
-        {"rename_stall", 40'000},
-    };
-    const ExplainReport rc = explain(a, bc);
-    check(rc.coarsened, "mixed leaf sets trigger coarsening");
-    check(std::fabs(rc.attributedFraction - 1.0) < 1e-9,
-          "coarsened partitions still attribute 100%");
-    check(!rc.attributions.empty() &&
-              rc.attributions[0].leaf == "rename_stall",
-          "coarsened top attribution is the rename/spill bucket");
 
     const std::string text = renderReport(r, false);
     const std::string md = renderReport(r, true);

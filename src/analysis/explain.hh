@@ -6,16 +6,14 @@
  * The taxonomy partitions cpu.cycles exactly, so per-leaf CPI
  * contributions (leaf cycles / committed instructions) also partition
  * CPI exactly, and the per-leaf deltas between two runs sum to the
- * CPI gap with no residual. A report therefore attributes 100% of a
- * gap by construction whenever both runs carry the same leaf set;
- * when the sets differ (e.g. a v1 document with only the flat
- * six-bucket breakdown) both sides are coarsened onto a common
- * bucketing first and the report says so.
+ * CPI gap with no residual. Every input carries the same twelve
+ * machine-level leaves, so a report attributes 100% of a gap by
+ * construction.
  *
  * Inputs come from --stats-json documents (loadRunJson) or from
  * cached sweep Measurements (explainInputFromMeasurement), so
  * `vca-explain --spec ...` rides the same on-disk result cache as the
- * benches. When both runs carry interval time series the explainer
+ * benches at the same leaf resolution. When both runs carry interval time series the explainer
  * also aligns them on the committed-instruction axis and reports the
  * windows where the cycle gap opens.
  */
@@ -48,8 +46,8 @@ struct ExplainInput
     std::string config; ///< human-readable configuration summary
     double cycles = 0;
     double insts = 0;
-    /** (taxonomy leaf name, cycles) — a partition of `cycles` when the
-     *  producer had telemetry compiled in; may be empty otherwise. */
+    /** (taxonomy leaf name, cycles) — a partition of `cycles`; empty
+     *  only for an inoperable Measurement. */
     std::vector<std::pair<std::string, double>> leaves;
     std::vector<std::string> intervalLeafNames;
     std::vector<ExplainInterval> intervals;
@@ -87,9 +85,6 @@ struct ExplainReport
     double instsA = 0, instsB = 0;
     double cpiA = 0, cpiB = 0;
     double gap = 0; ///< cpiB - cpiA
-    /** True when the two leaf sets differed and both sides were
-     *  coarsened onto the common six-way bucketing. */
-    bool coarsened = false;
     /** sum of leaf deltas / gap. 1.0 (exactly, up to fp rounding) when
      *  both runs carry full partitions of their cycles. */
     double attributedFraction = 0;
@@ -98,21 +93,18 @@ struct ExplainReport
 };
 
 /**
- * Parse a vca-sim --stats-json document. Accepts schema v1 (no
- * schemaVersion key), v2 and v3. Prefers the hierarchical taxonomy
- * subtree; falls back to the flat six-bucket cycle accounting when
- * the taxonomy is absent or all-zero (VCA_NTELEMETRY producer). A v3
- * non-detailed document has no cpu tree at all; its input loads with
- * an empty leaf set and explain() coarsens accordingly.
- * Throws sim::FatalError on unreadable/malformed input.
+ * Parse a vca-sim --stats-json document: its summary, the
+ * machine-level leaves of cpu.cycle_accounting.taxonomy and any
+ * interval series. Throws sim::FatalError naming the file on
+ * unreadable or malformed input, and on a document it cannot
+ * attribute: no taxonomy (a sampled or SimPoint document has no cpu
+ * tree) or leaves that do not sum to summary.cycles.
  */
 ExplainInput loadRunJson(const std::string &path,
                          const std::string &label);
 
-/**
- * Build an input from a cached sweep Measurement (coarse flat
- * breakdown only — Measurement stays frozen for cache stability).
- */
+/** Build an input from a (cached) sweep Measurement's taxonomy
+ *  leaves. */
 ExplainInput explainInputFromMeasurement(const std::string &label,
                                          const std::string &config,
                                          const Measurement &m);

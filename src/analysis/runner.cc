@@ -264,9 +264,9 @@ writeMeasurement(trace::JsonWriter &w, const Measurement &m)
     for (InstCount v : m.threadInsts)
         w.number(std::uint64_t(v));
     w.endArray();
-    w.key("cycle_breakdown").beginObject();
-    for (const auto &[name, frac] : m.cycleBreakdown)
-        w.key(name).number(frac);
+    w.key("taxonomy").beginObject();
+    for (const auto &[name, cycles] : m.taxonomy)
+        w.key(name).number(cycles);
     w.endObject();
     w.key("counters").beginObject();
     for (const auto &[name, value] : m.counters)
@@ -362,8 +362,9 @@ measurementFromValue(const trace::JsonValue &v)
             fatal("measurement JSON: missing object '%s'", name);
         return *o;
     };
-    for (const auto &[name, value] : object("cycle_breakdown").members())
-        m.cycleBreakdown.emplace_back(name, value.asNumber());
+    for (const auto &[name, value] : object("taxonomy").members())
+        m.taxonomy.emplace_back(name, value.asNumber());
+    m.cycleBreakdown = deriveCycleBreakdown(m.taxonomy, m.cycles);
     for (const auto &[name, value] : object("counters").members())
         m.counters.emplace_back(name, value.asNumber());
     // Optional: only non-detailed measurements carry it, and entries

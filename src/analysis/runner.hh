@@ -95,9 +95,10 @@ inline constexpr const char *kSimVersionTag = "vca-sim-v1";
  * this invalidates how measurements are stored (entries with another
  * schema read as misses and are quarantined), while the version tag
  * invalidates what the simulator computes. v2 added the "sum"
- * content checksum.
+ * content checksum; v3 stores the cycle-taxonomy leaf counts
+ * ("taxonomy") instead of the derived six-bucket fractions.
  */
-inline constexpr int kCacheEntrySchema = 2;
+inline constexpr int kCacheEntrySchema = 3;
 
 /**
  * One sweep job: a workload (one bundled benchmark name per hardware

@@ -201,7 +201,7 @@ struct Agg
     InstCount insts = 0;
     double dcacheAccesses = 0;
     std::vector<InstCount> threadInsts;
-    double breakdown[6] = {};
+    std::vector<std::pair<std::string, double>> taxonomy;
     double counterVals[kNumCounters] = {};
     bool counterPresent[kNumCounters] = {};
     unsigned samples = 0;
@@ -216,13 +216,12 @@ struct Agg
             threadInsts.resize(res.threadInsts.size(), 0);
         for (size_t i = 0; i < res.threadInsts.size(); ++i)
             threadInsts[i] += res.threadInsts[i];
-        const auto &ca = cpu.cycleAccounting;
-        breakdown[0] += ca.commitActive.value();
-        breakdown[1] += ca.memStall.value();
-        breakdown[2] += ca.execStall.value();
-        breakdown[3] += ca.renameFreeList.value();
-        breakdown[4] += ca.windowShift.value();
-        breakdown[5] += ca.frontendStall.value();
+        const auto leaves = taxonomyLeaves(cpu);
+        if (taxonomy.empty())
+            taxonomy = leaves;
+        else
+            for (size_t l = 0; l < leaves.size(); ++l)
+                taxonomy[l].second += leaves[l].second;
         const auto *group = static_cast<const stats::StatGroup *>(&cpu);
         for (unsigned i = 0; i < kNumCounters; ++i) {
             if (const auto *s = dynamic_cast<const stats::Scalar *>(
@@ -251,15 +250,8 @@ struct Agg
                                      : 0.0);
             m.threadDcachePerInst.push_back(m.dcacheAccPerInst);
         }
-        const double cyc = std::max(1.0, double(cycles));
-        m.cycleBreakdown = {
-            {"commit", breakdown[0] / cyc},
-            {"mem", breakdown[1] / cyc},
-            {"exec", breakdown[2] / cyc},
-            {"rename", breakdown[3] / cyc},
-            {"window", breakdown[4] / cyc},
-            {"frontend", breakdown[5] / cyc},
-        };
+        m.taxonomy = taxonomy;
+        m.cycleBreakdown = deriveCycleBreakdown(taxonomy, cycles);
         for (unsigned i = 0; i < kNumCounters; ++i) {
             if (counterPresent[i])
                 m.counters.emplace_back(kCounterNames[i],

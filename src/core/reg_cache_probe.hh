@@ -12,7 +12,9 @@
  * Cost discipline: every call site in the renamer is guarded by the
  * VCA_TELEMETRY_PROBE macro — a single null-pointer test when
  * telemetry is compiled in and nothing at all under -DVCA_NTELEMETRY
- * (mirroring VCA_NTRACE for DPRINTF).
+ * (mirroring VCA_NTRACE for DPRINTF). The same switch removes the
+ * pipeline's sim-event emission (kTelemetryHooks); the cycle
+ * taxonomy is not telemetry and is always maintained.
  */
 
 #ifndef VCA_CORE_REG_CACHE_PROBE_HH
@@ -21,6 +23,13 @@
 #include "sim/types.hh"
 
 namespace vca::core {
+
+/** False when -DVCA_NTELEMETRY compiles the telemetry hooks out. */
+#ifndef VCA_NTELEMETRY
+inline constexpr bool kTelemetryHooks = true;
+#else
+inline constexpr bool kTelemetryHooks = false;
+#endif
 
 class RegCacheProbe
 {

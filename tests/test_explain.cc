@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the differential run explainer (ctest label:
- * observability): exact CPI-gap attribution, coarsening across
- * mismatched leaf sets, stats-JSON ingestion, Measurement projection,
- * interval alignment, and the planted-gap selftest vca-explain
- * --selftest runs in CI.
+ * observability): exact CPI-gap attribution, stats-JSON ingestion
+ * (and its refusal of documents it cannot attribute), Measurement
+ * projection, interval alignment, and the planted-gap selftest
+ * vca-explain --selftest runs in CI.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include <string>
 
 #include "analysis/explain.hh"
+#include "cpu/ooo_cpu.hh"
 #include "sim/logging.hh"
 
 namespace {
@@ -47,7 +48,6 @@ TEST(Explain, AttributionsSumExactlyToTheGap)
     const ExplainReport r = analysis::explain(a, b);
 
     EXPECT_NEAR(r.gap, (95'000.0 - 80'000.0) / 50'000.0, 1e-12);
-    EXPECT_FALSE(r.coarsened);
     EXPECT_NEAR(r.attributedFraction, 1.0, 1e-12);
     double sum = 0;
     for (const auto &att : r.attributions)
@@ -68,53 +68,35 @@ TEST(Explain, ZeroGapProducesZeroShares)
     }
 }
 
-TEST(Explain, MismatchedLeafSetsAreCoarsened)
-{
-    ExplainInput a = syntheticRun("tree", 80'000, 0);
-    ExplainInput flat;
-    flat.label = "flat";
-    flat.insts = 50'000;
-    flat.cycles = 95'000;
-    flat.leaves = {
-        {"retiring", 50'000},
-        {"exec_stall", 10'000},
-        {"rename_stall", 9'000},
-        {"mem_stall", 26'000},
-    };
-    const ExplainReport r = analysis::explain(a, flat);
-    EXPECT_TRUE(r.coarsened);
-    EXPECT_NEAR(r.attributedFraction, 1.0, 1e-12);
-    ASSERT_FALSE(r.attributions.empty());
-    // spill_stall coarsens into the rename bucket on the tree side,
-    // so the planted gap still lands on rename_stall.
-    EXPECT_EQ(r.attributions[0].leaf, "rename_stall");
-}
-
-TEST(Explain, MeasurementProjectionUsesCoarseBuckets)
+TEST(Explain, MeasurementProjectionUsesTaxonomyLeaves)
 {
     analysis::Measurement m;
     m.ok = true;
     m.cycles = 1'000;
     m.insts = 500;
-    m.cycleBreakdown = {
-        {"commit", 0.5}, {"mem", 0.2},   {"exec", 0.1},
-        {"rename", 0.1}, {"window", 0.05}, {"frontend", 0.05},
-    };
+    using Buckets = cpu::TaxonomyBuckets;
+    for (unsigned l = 0; l < Buckets::numLeaves; ++l)
+        m.taxonomy.emplace_back(
+            Buckets::leafName(static_cast<Buckets::Leaf>(l)), 0);
+    m.taxonomy[0].second = 500;  // retiring
+    m.taxonomy[9].second = 300;  // backend_memory.fill_latency
+    m.taxonomy[10].second = 200; // backend_memory.spill_stall
+    m.cycleBreakdown = analysis::deriveCycleBreakdown(m.taxonomy, m.cycles);
     const ExplainInput in = analysis::explainInputFromMeasurement(
         "m", "cfg", m);
     EXPECT_DOUBLE_EQ(in.cycles, 1'000);
     EXPECT_DOUBLE_EQ(in.insts, 500);
-    double sum = 0;
-    bool sawRetiring = false;
-    for (const auto &[name, cycles] : in.leaves) {
-        sum += cycles;
-        if (name == "retiring") {
-            sawRetiring = true;
-            EXPECT_DOUBLE_EQ(cycles, 500);
-        }
-    }
-    EXPECT_DOUBLE_EQ(sum, 1'000);
-    EXPECT_TRUE(sawRetiring);
+    EXPECT_EQ(in.leaves, m.taxonomy)
+        << "cached points attribute at full leaf resolution";
+
+    // The flat fractions are sums of those leaves.
+    ASSERT_EQ(m.cycleBreakdown.size(), 6u);
+    EXPECT_EQ(m.cycleBreakdown[0].first, "commit");
+    EXPECT_DOUBLE_EQ(m.cycleBreakdown[0].second, 0.5);
+    EXPECT_EQ(m.cycleBreakdown[2].first, "exec");
+    EXPECT_DOUBLE_EQ(m.cycleBreakdown[2].second, 0.3);
+    EXPECT_EQ(m.cycleBreakdown[3].first, "rename");
+    EXPECT_DOUBLE_EQ(m.cycleBreakdown[3].second, 0.2);
 }
 
 TEST(Explain, LoadRunJsonPrefersTaxonomyAndReadsIntervals)
@@ -126,8 +108,9 @@ TEST(Explain, LoadRunJsonPrefersTaxonomyAndReadsIntervals)
     {
         std::ofstream os(path);
         os << R"({
-  "schemaVersion": 2,
-  "config": {"arch": "vca", "regs": 192, "threads": 1},
+  "schemaVersion": 3,
+  "config": {"arch": "vca", "regs": 192, "threads": 1,
+             "mode": "detailed"},
   "summary": {"cycles": 200, "insts": 100, "ipc": 0.5},
   "cpu": {
     "cycles": 200,
@@ -187,37 +170,55 @@ TEST(Explain, LoadRunJsonPrefersTaxonomyAndReadsIntervals)
     EXPECT_DOUBLE_EQ(in.intervals[1].leafCycles.at(1), 5);
 }
 
-TEST(Explain, LoadRunJsonFallsBackToFlatBuckets)
+/** Write `text` to a temp file, expect loadRunJson to refuse it with
+ *  a message naming the file and containing `needle`. */
+void
+expectRejected(const char *file, const char *text, const char *needle)
 {
     namespace fs = std::filesystem;
-    const std::string path =
-        (fs::temp_directory_path() / "vca_test_explain_flat.json")
-            .string();
+    const std::string path = (fs::temp_directory_path() / file).string();
     {
         std::ofstream os(path);
-        // A v1-style document: no schemaVersion, no taxonomy.
-        os << R"({
-  "config": {"arch": "baseline"},
+        os << text;
+    }
+    try {
+        analysis::loadRunJson(path, "");
+        ADD_FAILURE() << "loadRunJson accepted " << file;
+    } catch (const FatalError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(path), std::string::npos) << what;
+        EXPECT_NE(what.find(needle), std::string::npos) << what;
+    }
+    std::remove(path.c_str());
+}
+
+TEST(Explain, LoadRunJsonRejectsSampledDocument)
+{
+    // A non-detailed document has no cpu tree, hence no taxonomy:
+    // attributing it would report 0% of the gap. Point to the modes
+    // that can explain it instead.
+    expectRejected("vca_test_explain_sampled.json", R"({
+  "schemaVersion": 3,
+  "config": {"arch": "vca", "regs": 192, "threads": 1,
+             "mode": "sampled"},
+  "summary": {"cycles": 6100, "insts": 6000, "ipc": 0.98},
+  "sampling": {"samples": 3, "mean_cpi": 1.0}
+})", "--sampling");
+}
+
+TEST(Explain, LoadRunJsonRejectsLeavesNotSummingToCycles)
+{
+    expectRejected("vca_test_explain_partial.json", R"({
+  "schemaVersion": 3,
+  "config": {"arch": "vca", "mode": "detailed"},
   "summary": {"cycles": 100, "insts": 50, "ipc": 0.5},
   "cpu": {
     "cycles": 100,
     "cycle_accounting": {
-      "commit_active": 50, "mem_stall": 30, "exec_stall": 10,
-      "rename_freelist": 0, "window_shift": 0, "frontend": 10
+      "taxonomy": {"retiring": 50, "backend_core": {"exec": 10}}
     }
   }
-})";
-    }
-    const ExplainInput in = analysis::loadRunJson(path, "");
-    std::remove(path.c_str());
-
-    EXPECT_EQ(in.label, path);
-    double sum = 0;
-    for (const auto &[name, cycles] : in.leaves)
-        sum += cycles;
-    EXPECT_DOUBLE_EQ(sum, 100);
-    ASSERT_FALSE(in.leaves.empty());
-    EXPECT_EQ(in.leaves[0].first, "retiring");
+})", "summary.cycles");
 }
 
 TEST(Explain, LoadRunJsonRejectsGarbage)

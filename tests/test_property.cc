@@ -331,11 +331,17 @@ TEST(CacheProperty, MeasurementJsonRoundTripIsLossless)
                 awkward[rng.below(std::size(awkward))]);
             m.threadInsts.push_back(rng.below(1'000'000));
         }
-        const size_t nBuckets = rng.below(6);
-        for (size_t b = 0; b < nBuckets; ++b)
-            m.cycleBreakdown.emplace_back(
-                "bucket_" + std::to_string(b),
-                awkward[rng.below(std::size(awkward))]);
+        // The cache stores the taxonomy leaves and derives the flat
+        // breakdown from them on load.
+        if (m.ok) {
+            using Buckets = cpu::TaxonomyBuckets;
+            for (unsigned l = 0; l < Buckets::numLeaves; ++l)
+                m.taxonomy.emplace_back(
+                    Buckets::leafName(static_cast<Buckets::Leaf>(l)),
+                    awkward[rng.below(std::size(awkward))]);
+            m.cycleBreakdown =
+                analysis::deriveCycleBreakdown(m.taxonomy, m.cycles);
+        }
         m.counters.emplace_back("stalls_table_conflict",
                                 rng.uniform() * 1e6);
         m.counters.emplace_back("stalls_astq",

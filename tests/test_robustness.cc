@@ -276,6 +276,29 @@ TEST(RobustCache, WrongSchemaValidJsonIsACountedMiss)
         /*expectSchemaMiss=*/true);
 }
 
+TEST(RobustCache, SchemaTwoEntryIsACountedMiss)
+{
+    // An entry from before the cache stored taxonomy leaves: schema 2
+    // with the flat "cycle_breakdown" object. It must count as a
+    // schema miss and re-simulate, never parse as data.
+    expectQuarantineAndRepair(
+        "schema2",
+        [](const fs::path &entry) {
+            std::string text = slurp(entry);
+            const auto key = text.find("\"schema\"");
+            ASSERT_NE(key, std::string::npos);
+            const auto digit = text.find('3', text.find(':', key));
+            ASSERT_NE(digit, std::string::npos);
+            text[digit] = '2';
+            const std::string tax = "\"taxonomy\"";
+            const auto pos = text.find(tax);
+            ASSERT_NE(pos, std::string::npos);
+            text.replace(pos, tax.size(), "\"cycle_breakdown\"");
+            spew(entry, text);
+        },
+        /*expectSchemaMiss=*/true);
+}
+
 TEST(RobustCache, ChecksumMismatchQuarantines)
 {
     // Keep the JSON valid and the schema right; damage one byte of the

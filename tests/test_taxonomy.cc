@@ -6,8 +6,8 @@
  * The contract behind vca-explain's exact attribution: on every
  * architecture and thread count, the machine-level taxonomy leaves
  * sum exactly to cpu.cycles, every per-thread subtree independently
- * sums exactly to cpu.cycles, and each tree leaf refines exactly one
- * flat commit-stall bucket (the six equalities documented on
+ * sums exactly to cpu.cycles, and each flat commit-stall bucket
+ * Formula reads exactly its leaves (the six equalities documented on
  * CycleAccounting). All of it must survive a stat reset.
  */
 
@@ -83,7 +83,7 @@ expectPartition(const cpu::OooCpu &cpu, const std::string &where)
             << where << ": thread" << t
             << " taxonomy must partition cpu.cycles";
 
-    // Each tree leaf refines exactly one flat bucket.
+    // Each flat bucket Formula sums exactly its leaves.
     EXPECT_DOUBLE_EQ(tax.retiring.value(), ca.commitActive.value())
         << where;
     EXPECT_DOUBLE_EQ(tax.icache.value() + tax.fetch.value(),
@@ -109,10 +109,6 @@ expectPartition(const cpu::OooCpu &cpu, const std::string &where)
 
 TEST(CycleTaxonomy, LeavesPartitionCyclesOnEveryArchitecture)
 {
-#ifdef VCA_NTELEMETRY
-    GTEST_SKIP() << "taxonomy updates compiled out "
-                    "(-DVCA_NTELEMETRY=ON)";
-#endif
     for (const Config &config : kConfigs) {
         SCOPED_TRACE(config.name);
         auto cpu = makeCpu(config);
@@ -137,10 +133,6 @@ TEST(CycleTaxonomy, TwoThreadConvWindowsStayInoperable)
 
 TEST(CycleTaxonomy, PartitionSurvivesStatReset)
 {
-#ifdef VCA_NTELEMETRY
-    GTEST_SKIP() << "taxonomy updates compiled out "
-                    "(-DVCA_NTELEMETRY=ON)";
-#endif
     for (const Config &config : {kConfigs[2], kConfigs[3]}) {
         SCOPED_TRACE(config.name);
         auto cpu = makeCpu(config);
@@ -165,10 +157,6 @@ TEST(CycleTaxonomy, PartitionSurvivesStatReset)
 
 TEST(CycleTaxonomy, VcaActivatesItsSpecificLeaves)
 {
-#ifdef VCA_NTELEMETRY
-    GTEST_SKIP() << "taxonomy updates compiled out "
-                    "(-DVCA_NTELEMETRY=ON)";
-#endif
     // Under heavy register pressure the VCA-specific leaves must see
     // traffic: fill latency at the ROB head is a renamer-architecture
     // effect no generic top-down taxonomy would expose.

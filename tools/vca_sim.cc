@@ -677,7 +677,7 @@ simMain(int argc, char **argv)
             });
             // One probe per machine-level taxonomy leaf, so interval
             // records double as aligned stall time series for
-            // vca-explain. All-zero under VCA_NTELEMETRY.
+            // vca-explain.
             using Buckets = cpu::TaxonomyBuckets;
             for (unsigned l = 0; l < Buckets::numLeaves; ++l) {
                 const auto leaf = static_cast<Buckets::Leaf>(l);
