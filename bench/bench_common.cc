@@ -277,11 +277,11 @@ regCacheSummary()
 /**
  * Commit-stall attribution of the reference VCA configuration
  * (crafty @ 192 physical registers), exported into every
- * BENCH_*.json as absolute per-bucket cycles. Runs through the
+ * BENCH_*.json as absolute per-leaf cycles. Runs through the
  * shared sweep cache — the same point the figure benches already
  * measure — so it is normally a pure cache hit. perf_compare.py
  * diffs the block across base/candidate runs and a regression
- * report names the buckets whose cycles moved (its top-3 causes).
+ * report names the leaves whose cycles moved (its top-3 causes).
  */
 const analysis::ExplainInput &
 cycleTaxonomySummary()

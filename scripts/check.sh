@@ -9,9 +9,9 @@
 # simulating the sweep twice more under ASan adds minutes for no extra
 # signal.
 #
-# A third configuration builds with -DVCA_NTELEMETRY=ON (every
-# telemetry hook compiled out) and gates the host-MIPS overhead of the
-# compiled-in-but-disabled telemetry against it via perf_compare.py.
+# A third configuration builds with -DVCA_NTELEMETRY=ON (probe hooks
+# and sim events compiled out; both trees keep the cycle taxonomy) and
+# gates the host-MIPS overhead of the disabled hooks via perf_compare.py.
 #
 # A final robustness section exercises the fault-tolerant sweep layer
 # end to end: a chaos smoke (a vca-sim sweep under injected worker
@@ -78,11 +78,11 @@ run_config asan-ubsan unit \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DVCA_SANITIZE=address,undefined
 
-# Telemetry-overhead gate: the probe hooks compiled in but *disabled*
-# plus the always-on hierarchical cycle-taxonomy accounting must not
-# cost measurable host throughput. Build a configuration with both
-# removed entirely (-DVCA_NTELEMETRY=ON), run the same bench in both
-# trees with the sweep cache disabled, and diff host MIPS.
+# Telemetry-overhead gate: the probe hooks and sim events compiled in
+# but *disabled* must not cost measurable host throughput. Build a
+# configuration with them removed (-DVCA_NTELEMETRY=ON; the cycle
+# taxonomy is in both trees), run the same bench in both trees with
+# the sweep cache disabled, and diff host MIPS.
 if [[ "${CHECK_TELEM_GATE:-1}" != 0 ]] && command -v python3 >/dev/null
 then
     echo "== configure notelemetry =="

@@ -9,13 +9,12 @@ plot scripts, regression tracking) rely on:
   - schemaVersion == 3 and the config/summary root blocks exist with
     the right field types; config.mode names the execution mode;
   - detailed documents (config.mode == "detailed" or absent) carry the
-    cpu tree: the flat six-bucket cycle accounting partitions
-    cpu.cycles exactly (commit_active + mem_stall + exec_stall +
-    rename_freelist + window_shift + frontend == cycles);
-  - the hierarchical taxonomy partitions cpu.cycles exactly, at the
-    machine level and independently per hardware-thread subtree; an
-    all-zero taxonomy is tolerated (VCA_NTELEMETRY build) because the
-    group is registered either way to keep the schema stable;
+    cpu tree: the hierarchical taxonomy partitions cpu.cycles exactly,
+    at the machine level and independently per hardware-thread
+    subtree;
+  - each flat cycle-accounting bucket equals the sum of its
+    machine-level taxonomy leaves (the refinement equalities, e.g.
+    mem_stall == dcache + store_drain);
   - intervals (when present) have strictly increasing committed_cum,
     non-negative cycle spans, and a "partial" flag that may only be
     set on the final record;
@@ -37,8 +36,17 @@ import sys
 
 EXPECTED_VERSION = 3
 
-FLAT_BUCKETS = ("commit_active", "mem_stall", "exec_stall",
-                "rename_freelist", "window_shift", "frontend")
+# Each flat bucket and the machine-level taxonomy leaves it sums.
+REFINEMENT = {
+    "commit_active": ("retiring",),
+    "mem_stall": ("backend_memory.dcache", "backend_memory.store_drain"),
+    "exec_stall": ("backend_core.exec", "backend_memory.fill_latency"),
+    "rename_freelist": ("backend_core.rename_freelist",
+                        "backend_memory.spill_stall"),
+    "window_shift": ("bad_speculation.recovery",
+                     "backend_memory.window_trap"),
+    "frontend": ("frontend_bound.icache", "frontend_bound.fetch"),
+}
 
 MODES = ("detailed", "sampled", "simpoint")
 
@@ -61,17 +69,17 @@ def is_num(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def taxonomy_leaf_sum(group, skip_threads=True):
-    """Sum every scalar under a taxonomy (sub)group, recursively."""
-    total = 0.0
+def flat_leaves(group, skip_threads=True, prefix=""):
+    """{dotted leaf name: value} under a taxonomy (sub)group."""
+    out = {}
     for name, value in group.items():
         if skip_threads and name.startswith("thread"):
             continue
         if is_num(value):
-            total += value
+            out[prefix + name] = value
         elif isinstance(value, dict):
-            total += taxonomy_leaf_sum(value, skip_threads=False)
-    return total
+            out.update(flat_leaves(value, False, f"{prefix}{name}."))
+    return out
 
 
 def validate_sampling(doc, where):
@@ -172,40 +180,32 @@ def validate(doc, where):
     if not isinstance(accounting, dict):
         fail(errors, f"{where}: missing cpu.cycle_accounting group")
         return errors
-    flat_sum = 0.0
-    for bucket in FLAT_BUCKETS:
-        value = accounting.get(bucket)
-        if not is_num(value):
-            fail(errors, f"{where}: cycle_accounting.{bucket} is not "
-                         f"a number")
-            return errors
-        flat_sum += value
-    if flat_sum != cycles:
-        fail(errors, f"{where}: flat cycle accounting sums to "
-                     f"{flat_sum}, expected cpu.cycles == {cycles}")
-
     taxonomy = accounting.get("taxonomy")
     if not isinstance(taxonomy, dict):
         fail(errors, f"{where}: missing cycle_accounting.taxonomy "
                      f"group")
-    else:
-        machine = taxonomy_leaf_sum(taxonomy)
-        if machine != 0 and machine != cycles:
-            fail(errors, f"{where}: taxonomy leaves sum to {machine}, "
-                         f"expected 0 (VCA_NTELEMETRY) or cpu.cycles "
-                         f"== {cycles}")
-        for name, sub in taxonomy.items():
-            if not name.startswith("thread"):
-                continue
-            if not isinstance(sub, dict):
-                fail(errors, f"{where}: taxonomy.{name} is not a "
-                             f"group")
-                continue
-            tsum = taxonomy_leaf_sum(sub, skip_threads=False)
-            if tsum != 0 and tsum != cycles:
-                fail(errors, f"{where}: taxonomy.{name} leaves sum "
-                             f"to {tsum}, expected 0 or cpu.cycles "
-                             f"== {cycles}")
+        return errors
+    machine = flat_leaves(taxonomy)
+    if sum(machine.values()) != cycles:
+        fail(errors, f"{where}: taxonomy leaves sum to "
+                     f"{sum(machine.values())}, expected cpu.cycles == "
+                     f"{cycles}")
+    for name, sub in taxonomy.items():
+        if not name.startswith("thread"):
+            continue
+        if not isinstance(sub, dict):
+            fail(errors, f"{where}: taxonomy.{name} is not a group")
+            continue
+        tsum = sum(flat_leaves(sub, skip_threads=False).values())
+        if tsum != cycles:
+            fail(errors, f"{where}: taxonomy.{name} leaves sum to "
+                         f"{tsum}, expected cpu.cycles == {cycles}")
+    for bucket, leaves in REFINEMENT.items():
+        parts = sum(machine.get(leaf, 0) for leaf in leaves)
+        if accounting.get(bucket) != parts:
+            fail(errors, f"{where}: cycle_accounting.{bucket} is "
+                         f"{accounting.get(bucket)!r}, but its leaves "
+                         f"({' + '.join(leaves)}) sum to {parts}")
 
     intervals = doc.get("intervals")
     if intervals is not None:
@@ -338,6 +338,13 @@ def selftest():
     doc["cpu"]["cycle_accounting"]["mem_stall"] += 1
     expect(doc, False, "broken flat partition")
 
+    # Moving cycles between two buckets keeps both partitions whole;
+    # only the refinement equalities notice.
+    doc = make_valid_doc()
+    doc["cpu"]["cycle_accounting"]["mem_stall"] += 5
+    doc["cpu"]["cycle_accounting"]["rename_freelist"] -= 5
+    expect(doc, False, "broken refinement")
+
     doc = make_valid_doc()
     doc["cpu"]["cycle_accounting"]["taxonomy"]["retiring"] -= 1
     expect(doc, False, "broken taxonomy partition")
@@ -347,7 +354,7 @@ def selftest():
         += 3
     expect(doc, False, "broken per-thread taxonomy partition")
 
-    # All-zero taxonomy (VCA_NTELEMETRY build) is legal.
+    # An all-zero taxonomy partitions nothing.
     doc = make_valid_doc()
     tax = doc["cpu"]["cycle_accounting"]["taxonomy"]
 
@@ -358,7 +365,7 @@ def selftest():
             else:
                 group[key] = 0
     zero(tax)
-    expect(doc, True, "all-zero taxonomy (VCA_NTELEMETRY)")
+    expect(doc, False, "all-zero taxonomy")
 
     doc = make_valid_doc()
     doc["intervals"][1]["committed_cum"] = 30

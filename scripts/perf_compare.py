@@ -19,11 +19,12 @@ Usage:
                     scripts/check.sh as a smoke test
 
 When a bench regresses, the script also diffs the "cycle_taxonomy"
-block the benches export (commit-stall attribution of the reference
-VCA configuration, in absolute cycles) and prints the top-3 buckets
-whose CPI contribution moved -- so a regression report says *why*
-simulated behavior changed, or that it did not (pure host-side
-slowdown). Benches written without the block degrade gracefully.
+block the benches export (the reference VCA configuration's taxonomy
+leaves, in absolute cycles) and prints the top-3 leaves whose CPI
+contribution moved -- so a regression report says *why* simulated
+behavior changed, or that it did not (pure host-side slowdown).
+Without the block, or with different leaf names on the two sides, the
+script prints a notice instead.
 
 Non-detailed runs additionally export a per-point "sampling" block
 (sampled IPC with a 95% confidence interval). When both sides carry
@@ -254,10 +255,10 @@ def load_taxonomy(path):
 
 
 def explain_regressions(regressed, basedir, canddir):
-    """Attribute each regression to the taxonomy buckets that moved.
+    """Attribute each regression to the taxonomy leaves that moved.
 
-    The buckets partition the reference run's cycles, so per-bucket
-    CPI deltas sum exactly to the CPI gap; an unchanged reference CPI
+    The leaves partition the reference run's cycles, so per-leaf CPI
+    deltas sum exactly to the CPI gap; an unchanged reference CPI
     means the simulator behaves identically and the regression is
     host-side (build, toolchain, telemetry overhead).
     """
@@ -270,19 +271,24 @@ def explain_regressions(regressed, basedir, canddir):
             continue
         bcyc, bins, bleaf = base
         ccyc, cins, cleaf = cand
+        if set(bleaf) != set(cleaf):
+            print(f"  {name}: cycle_taxonomy leaf names differ between "
+                  f"the two sides; cannot attribute (re-run the "
+                  f"baseline benches to export the same leaves)")
+            continue
         gap = ccyc / cins - bcyc / bins
         if abs(gap) < 1e-12:
             print(f"  {name}: reference CPI unchanged -- simulated "
                   f"behavior is identical; the slowdown is host-side")
             continue
         deltas = sorted(
-            ((cleaf.get(leaf, 0.0) / cins - bleaf.get(leaf, 0.0) / bins,
-              leaf) for leaf in set(bleaf) | set(cleaf)),
+            ((cleaf[leaf] / cins - bleaf[leaf] / bins, leaf)
+             for leaf in bleaf),
             key=lambda t: (-abs(t[0]), t[1]))
         print(f"  {name}: reference CPI moved {gap:+.4f}; "
               f"top attributed causes:")
         for delta, leaf in deltas[:3]:
-            print(f"    {leaf:<16} {delta:+.4f} cpi "
+            print(f"    {leaf:<28} {delta:+.4f} cpi "
                   f"({delta / gap:+.0%} of gap)")
 
 
@@ -391,7 +397,7 @@ def selftest():
             print("selftest: FAILED (threshold ignored)", file=sys.stderr)
             return 1
 
-        # Regression attribution: plant a rename_stall CPI gap in the
+        # Regression attribution: plant a spill-stall CPI gap in the
         # taxonomy blocks of the regressed bench and check the report
         # names it as the top cause.
         import io
@@ -405,32 +411,43 @@ def selftest():
                                       "leaves": leaves}}
             Path(d, f"BENCH_{name}.json").write_text(json.dumps(doc))
 
-        write_tax(basedir, "slow", 4.0, 1500,
-                  {"retiring": 1000, "mem_stall": 500,
-                   "rename_stall": 0})
+        spill = "backend_memory.spill_stall"
+        base_leaves = {"retiring": 1000, "backend_memory.dcache": 500,
+                       spill: 0}
+        write_tax(basedir, "slow", 4.0, 1500, base_leaves)
         write_tax(canddir, "slow", 2.0, 1900,
-                  {"retiring": 1000, "mem_stall": 500,
-                   "rename_stall": 400})
+                  dict(base_leaves, **{spill: 400}))
         out = io.StringIO()
         with redirect_stdout(out):
             explain_regressions(["slow"], basedir, canddir)
         report = out.getvalue()
-        if "rename_stall" not in report.splitlines()[1]:
-            print("selftest: FAILED (planted rename_stall gap not the "
+        if f"    {spill} " not in report.splitlines()[1]:
+            print("selftest: FAILED (planted spill_stall gap not the "
                   "top attributed cause)", file=sys.stderr)
             return 1
 
         # Identical taxonomy on both sides: the report must call the
         # regression host-side instead of inventing a cause.
-        write_tax(canddir, "slow", 2.0, 1500,
-                  {"retiring": 1000, "mem_stall": 500,
-                   "rename_stall": 0})
+        write_tax(canddir, "slow", 2.0, 1500, base_leaves)
         out = io.StringIO()
         with redirect_stdout(out):
             explain_regressions(["slow"], basedir, canddir)
         if "host-side" not in out.getvalue():
             print("selftest: FAILED (unchanged CPI not reported as "
                   "host-side)", file=sys.stderr)
+            return 1
+
+        # A baseline with other leaf names (the six coarse buckets of
+        # older exports) is a notice, never a ranking.
+        write_tax(basedir, "slow", 4.0, 1900,
+                  {"retiring": 1000, "mem_stall": 500,
+                   "rename_stall": 400})
+        out = io.StringIO()
+        with redirect_stdout(out):
+            explain_regressions(["slow"], basedir, canddir)
+        if "leaf names differ" not in out.getvalue():
+            print("selftest: FAILED (mismatched leaf sets were "
+                  "attributed)", file=sys.stderr)
             return 1
 
         # No taxonomy block at all degrades to a notice, not a crash.
