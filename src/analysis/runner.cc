@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -47,7 +48,7 @@ fmtDouble(double v)
     return buf;
 }
 
-/** The 16-hex-digit spelling used for cache files and journals. */
+/** The 16-hex-digit spelling used for cache files and checksums. */
 std::string
 hashHex(std::uint64_t h)
 {
@@ -170,68 +171,46 @@ pointSeed(const SweepPoint &point)
     return seed ? seed : 1;
 }
 
-std::uint64_t
-batchHash(const std::vector<SweepPoint> &points)
-{
-    std::vector<std::string> keys;
-    keys.reserve(points.size());
-    for (const SweepPoint &p : points)
-        keys.push_back(hashHex(pointHash(p)));
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    std::string all;
-    for (const std::string &k : keys) {
-        all += k;
-        all += '\n';
-    }
-    return fnv1a(all);
-}
-
-std::string
-journalPath(const std::string &cacheDir, std::uint64_t batch)
-{
-    return cacheDir + "/journal/" + hashHex(batch) + ".jsonl";
-}
-
-std::string
-manifestPath(const std::string &cacheDir, std::uint64_t batch)
-{
-    return cacheDir + "/manifests/" + hashHex(batch) + ".json";
-}
-
 RobustConfig
 RobustConfig::fromEnv()
 {
     RobustConfig r;
     r.isolate = envFlag("VCA_ISOLATE");
-    r.resume = envFlag("VCA_RESUME");
-    if (const char *v = std::getenv("VCA_POINT_TIMEOUT"); v && *v) {
-        char *rest = nullptr;
-        const double t = std::strtod(v, &rest);
-        if (rest && !*rest && t >= 0)
-            r.pointTimeoutSec = t;
-        else
-            warn("ignoring VCA_POINT_TIMEOUT='%s' (want seconds >= 0)",
-                 v);
-    }
-    if (const char *v = std::getenv("VCA_RETRIES"); v && *v) {
-        char *rest = nullptr;
-        const unsigned long n = std::strtoul(v, &rest, 10);
-        if (rest && !*rest)
-            r.retries = static_cast<unsigned>(n);
-        else
-            warn("ignoring VCA_RETRIES='%s' (want an integer >= 0)", v);
-    }
-    if (const char *v = std::getenv("VCA_RETRY_BACKOFF_MS"); v && *v) {
-        char *rest = nullptr;
-        const unsigned long n = std::strtoul(v, &rest, 10);
-        if (rest && !*rest)
-            r.backoffMs = static_cast<unsigned>(n);
-        else
-            warn("ignoring VCA_RETRY_BACKOFF_MS='%s' (want an integer "
-                 ">= 0)", v);
-    }
+    if (const char *v = std::getenv("VCA_POINT_TIMEOUT");
+        v && *v && !parsePointTimeout(v, r.pointTimeoutSec))
+        warn("ignoring VCA_POINT_TIMEOUT='%s' (want seconds >= 0)", v);
+    if (const char *v = std::getenv("VCA_RETRIES");
+        v && *v && !parseRetries(v, r.retries))
+        warn("ignoring VCA_RETRIES='%s' (want an integer >= 0)", v);
     return r;
+}
+
+bool
+RobustConfig::parseRetries(const char *text, unsigned &out)
+{
+    // Digits only: strtoul would read "-1" as ULONG_MAX.
+    if (!*text || std::strspn(text, "0123456789") != std::strlen(text))
+        return false;
+    const unsigned long long n = std::strtoull(text, nullptr, 10);
+    if (n >= std::numeric_limits<unsigned>::max())
+        return false; // retries + 1 attempts would wrap to 0
+    out = static_cast<unsigned>(n);
+    return true;
+}
+
+bool
+RobustConfig::parsePointTimeout(const char *text, double &out)
+{
+    char *rest = nullptr;
+    const double t = std::strtod(text, &rest);
+    // nan fails both comparisons and inf the upper bound.
+    const double maxSec = std::chrono::duration<double>(
+                              std::chrono::steady_clock::duration::max())
+                              .count();
+    if (!*text || *rest || !(t >= 0 && t < maxSec))
+        return false;
+    out = t;
+    return true;
 }
 
 // ---------------------------------------------------------------------
@@ -559,114 +538,6 @@ ResultCache::load(const SweepPoint &point, Measurement &out) const
     }
 }
 
-namespace {
-
-// ---------------------------------------------------------------------
-// Interrupt-safe temp-file cleanup.
-//
-// store() writes each entry to "<path>.tmp.<pid>.<tid>" and renames it
-// into place. A SIGINT in the middle of the write leaves a partial
-// temp file behind forever (load() never reads temp names, but a
-// mid-sweep ^C across a large sweep litters the cache directory).
-// Every in-flight temp path is registered in a fixed lock-free table;
-// the signal handler walks it, unlink()s whatever is still armed, and
-// re-raises with the default disposition so the exit status is
-// unchanged. Only async-signal-safe pieces are used in the handler:
-// lock-free atomic loads, unlink(), sigaction(), raise().
-// ---------------------------------------------------------------------
-
-class TmpFileRegistry
-{
-  public:
-    static constexpr int kSlots = 64;
-    static constexpr size_t kMaxPath = 512;
-
-    /**
-     * Claim a slot for an in-flight temp path. -1 when the table is
-     * full or the path too long: the writer proceeds unregistered and
-     * the worst case is one orphaned temp file.
-     */
-    int
-    acquire(const std::string &path)
-    {
-        if (path.size() >= kMaxPath)
-            return -1;
-        for (int i = 0; i < kSlots; ++i) {
-            bool expected = false;
-            if (slots_[i].busy.compare_exchange_strong(expected, true)) {
-                std::memcpy(slots_[i].path, path.c_str(),
-                            path.size() + 1);
-                slots_[i].armed.store(true, std::memory_order_release);
-                return i;
-            }
-        }
-        return -1;
-    }
-
-    void
-    release(int slot)
-    {
-        if (slot < 0)
-            return;
-        slots_[slot].armed.store(false, std::memory_order_release);
-        slots_[slot].busy.store(false, std::memory_order_release);
-    }
-
-    /** Called from the signal handler: async-signal-safe only. */
-    void
-    cleanupFromSignal()
-    {
-        for (int i = 0; i < kSlots; ++i)
-            if (slots_[i].armed.load(std::memory_order_acquire))
-                ::unlink(slots_[i].path);
-    }
-
-  private:
-    struct Slot
-    {
-        std::atomic<bool> busy{false};  ///< claimed by a writer
-        std::atomic<bool> armed{false}; ///< path valid; file may exist
-        char path[kMaxPath];
-    };
-    Slot slots_[kSlots];
-};
-
-TmpFileRegistry gTmpRegistry;
-
-void
-cacheCleanupHandler(int sig)
-{
-    gTmpRegistry.cleanupFromSignal();
-    std::signal(sig, SIG_DFL);
-    std::raise(sig);
-}
-
-/**
- * Install the cleanup handler for SIGINT/SIGTERM once, on the first
- * cache write. A disposition of SIG_IGN (e.g. under nohup) is
- * respected and left alone.
- */
-void
-installCacheCleanupHandler()
-{
-    static const bool done = [] {
-        for (int sig : {SIGINT, SIGTERM}) {
-            struct sigaction old = {};
-            if (sigaction(sig, nullptr, &old) == 0 &&
-                old.sa_handler == SIG_DFL) {
-                struct sigaction sa = {};
-                sa.sa_handler = &cacheCleanupHandler;
-                sigemptyset(&sa.sa_mask);
-                sigaction(sig, &sa, nullptr);
-            }
-        }
-        return true;
-    }();
-    (void)done;
-}
-
-} // namespace
-
 bool
 ResultCache::store(const SweepPoint &point, const Measurement &m) const
 {
@@ -691,14 +562,11 @@ ResultCache::store(const SweepPoint &point, const Measurement &m) const
     tmpName << path << ".tmp." << ::getpid() << "."
             << std::this_thread::get_id();
     const std::string tmp = tmpName.str();
-    installCacheCleanupHandler();
-    const int slot = gTmpRegistry.acquire(tmp);
     bool written = false;
     {
         std::ofstream os(tmp);
         if (!os) {
             noteWriteError("cannot write cache entry " + tmp);
-            gTmpRegistry.release(slot);
             return false;
         }
         trace::JsonWriter w(os);
@@ -719,214 +587,18 @@ ResultCache::store(const SweepPoint &point, const Measurement &m) const
     }
     if (!written) {
         fs::remove(tmp, ec);
-        gTmpRegistry.release(slot);
         noteWriteError("short write on cache entry " + tmp);
         return false;
     }
     fs::rename(tmp, path, ec);
     if (ec) {
         fs::remove(tmp, ec);
-        gTmpRegistry.release(slot);
         noteWriteError("cannot commit cache entry " + path + ": " +
                        ec.message());
         return false;
     }
-    gTmpRegistry.release(slot);
     return true;
 }
-
-// ---------------------------------------------------------------------
-// Batch journal and failure manifest
-// ---------------------------------------------------------------------
-
-namespace {
-
-/**
- * JsonWriter output flattened to one physical line. Lossless: any
- * newline inside a string value is escaped by the writer, so raw
- * newlines (and their following indentation) are pure formatting.
- */
-std::string
-oneLine(const std::string &pretty)
-{
-    std::string out;
-    out.reserve(pretty.size());
-    for (size_t i = 0; i < pretty.size(); ++i) {
-        if (pretty[i] == '\n') {
-            while (i + 1 < pretty.size() && pretty[i + 1] == ' ')
-                ++i;
-            continue;
-        }
-        out += pretty[i];
-    }
-    return out;
-}
-
-/**
- * Crash-safe record of one batch's progress: a JSONL file under the
- * cache directory, one flushed line per event, so the tail after a
- * SIGKILL is at worst one torn line (which the loader skips). The
- * journal only exists while a batch has points in flight; a batch
- * that ends clean removes it.
- */
-class SweepJournal
-{
-  public:
-    SweepJournal(std::string path, std::uint64_t batch)
-        : path_(std::move(path))
-    {
-        std::error_code ec;
-        fs::create_directories(fs::path(path_).parent_path(), ec);
-        os_.open(path_, std::ios::trunc);
-        if (!os_) {
-            warn("cannot write sweep journal %s; an interrupted sweep "
-                 "will re-run its failed points", path_.c_str());
-            return;
-        }
-        std::ostringstream line;
-        trace::JsonWriter w(line);
-        w.beginObject();
-        w.key("journal").number(std::uint64_t(1));
-        w.key("batch").string(hashHex(batch));
-        w.key("version").string(kSimVersionTag);
-        w.endObject();
-        append(oneLine(line.str()));
-    }
-
-    void
-    start(std::uint64_t point)
-    {
-        event(point, "start");
-    }
-
-    void
-    done(std::uint64_t point)
-    {
-        event(point, "done");
-    }
-
-    void
-    failed(const PointFailure &f)
-    {
-        std::ostringstream line;
-        trace::JsonWriter w(line);
-        w.beginObject();
-        w.key("point").string(hashHex(f.hash));
-        w.key("status").string("failed");
-        w.key("label").string(f.label);
-        w.key("error").string(f.error);
-        w.key("attempts").number(std::uint64_t(f.attempts));
-        w.endObject();
-        append(oneLine(line.str()));
-    }
-
-  private:
-    void
-    event(std::uint64_t point, const char *status)
-    {
-        std::ostringstream line;
-        trace::JsonWriter w(line);
-        w.beginObject();
-        w.key("point").string(hashHex(point));
-        w.key("status").string(status);
-        w.endObject();
-        append(oneLine(line.str()));
-    }
-
-    void
-    append(const std::string &line)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!os_)
-            return;
-        os_ << line << '\n';
-        os_.flush(); // each event survives a SIGKILL right after it
-    }
-
-    std::string path_;
-    std::ofstream os_;
-    std::mutex mutex_;
-};
-
-/**
- * Failures recorded by a prior run's journal, keyed by point hash. A
- * later "start"/"done" for the same point supersedes the failure (the
- * point was retried). Torn tail lines — the expected state after a
- * crash — are skipped.
- */
-std::map<std::uint64_t, PointFailure>
-loadJournalFailures(const std::string &path)
-{
-    std::map<std::uint64_t, PointFailure> failures;
-    std::ifstream is(path);
-    if (!is)
-        return failures;
-    std::string line;
-    while (std::getline(is, line)) {
-        if (line.empty())
-            continue;
-        try {
-            const trace::JsonValue doc = trace::JsonValue::parse(line);
-            if (!doc.isObject())
-                continue;
-            const trace::JsonValue *point = doc.find("point");
-            const trace::JsonValue *status = doc.find("status");
-            if (!point || !status)
-                continue;
-            const std::uint64_t hash = std::strtoull(
-                point->asString().c_str(), nullptr, 16);
-            if (status->asString() == "failed") {
-                PointFailure f;
-                f.hash = hash;
-                if (const trace::JsonValue *l = doc.find("label"))
-                    f.label = l->asString();
-                if (const trace::JsonValue *e = doc.find("error"))
-                    f.error = e->asString();
-                if (const trace::JsonValue *a = doc.find("attempts"))
-                    f.attempts = static_cast<unsigned>(a->asNumber());
-                failures[hash] = f;
-            } else {
-                failures.erase(hash);
-            }
-        } catch (const std::exception &) {
-            continue; // torn line from the interruption
-        }
-    }
-    return failures;
-}
-
-void
-writeFailureManifest(const std::string &path, std::uint64_t batch,
-                     size_t points,
-                     const std::vector<PointFailure> &failures)
-{
-    std::error_code ec;
-    fs::create_directories(fs::path(path).parent_path(), ec);
-    std::ofstream os(path, std::ios::trunc);
-    if (!os) {
-        warn("cannot write failure manifest %s", path.c_str());
-        return;
-    }
-    trace::JsonWriter w(os);
-    w.beginObject();
-    w.key("schema").number(std::uint64_t(1));
-    w.key("batch").string(hashHex(batch));
-    w.key("points").number(std::uint64_t(points));
-    w.key("failures").beginArray();
-    for (const PointFailure &f : failures) {
-        w.beginObject();
-        w.key("point").string(hashHex(f.hash));
-        w.key("label").string(f.label);
-        w.key("error").string(f.error);
-        w.key("attempts").number(std::uint64_t(f.attempts));
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-    os << '\n';
-}
-
-} // namespace
 
 // ---------------------------------------------------------------------
 // SweepRunner
@@ -1264,13 +936,10 @@ SweepRunner::runIsolated(const SweepPoint &point,
         ::_exit(code);
     }
 
-    // Parent: reap with the optional deadline.
+    // Parent: reap with the optional deadline. Elapsed time is compared
+    // in double seconds, so no deadline value can overflow a clock.
     const bool hasDeadline = robust.pointTimeoutSec > 0;
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(
-                hasDeadline ? robust.pointTimeoutSec : 0));
+    const auto start = std::chrono::steady_clock::now();
     int status = 0;
     for (;;) {
         const pid_t r = ::waitpid(pid, &status, WNOHANG);
@@ -1286,7 +955,9 @@ SweepRunner::runIsolated(const SweepPoint &point,
             fs::remove(resultPath, ec);
             return false;
         }
-        if (hasDeadline && std::chrono::steady_clock::now() >= deadline) {
+        if (hasDeadline && std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                                   .count() >= robust.pointTimeoutSec) {
             ::kill(pid, SIGKILL);
             ::waitpid(pid, &status, 0);
             timedOut = true;
@@ -1375,15 +1046,16 @@ SweepRunner::runPointAttempts(const SweepPoint &point,
                               unsigned &attempts,
                               unsigned &timeouts) const
 {
-    const unsigned maxAttempts = robust.retries + 1;
+    // First retry after 100 ms, doubling per further retry.
+    constexpr std::uint64_t kBackoffMs = 100;
     std::string lastError = "point failed";
     attempts = 0;
     timeouts = 0;
-    for (unsigned attempt = 0; attempt < maxAttempts; ++attempt) {
+    for (unsigned attempt = 0; attempt <= robust.retries; ++attempt) {
         attempts = attempt + 1;
-        if (attempt > 0 && robust.backoffMs > 0) {
+        if (attempt > 0) {
             std::this_thread::sleep_for(std::chrono::milliseconds(
-                std::uint64_t(robust.backoffMs) << (attempt - 1)));
+                kBackoffMs << (attempt - 1)));
         }
         if (robust.isolate) {
             Measurement m;
@@ -1452,24 +1124,6 @@ SweepRunner::run(const std::vector<SweepPoint> &points)
     }
     pointsTotal += static_cast<double>(points.size());
 
-    // The batch identity for journal/manifest names: FNV-1a over the
-    // sorted unique point hashes (same value batchHash() computes,
-    // without re-deriving every key).
-    std::uint64_t batch = 0;
-    {
-        std::vector<std::string> hashes;
-        hashes.reserve(unique.size());
-        for (const Work &w : unique)
-            hashes.push_back(hashHex(w.hash));
-        std::sort(hashes.begin(), hashes.end());
-        std::string all;
-        for (const std::string &h : hashes) {
-            all += h;
-            all += '\n';
-        }
-        batch = fnv1a(all);
-    }
-
     struct Latch
     {
         std::mutex mutex;
@@ -1478,7 +1132,6 @@ SweepRunner::run(const std::vector<SweepPoint> &points)
     } latch;
     std::uint64_t hits = 0, misses = 0, failed = 0;
     std::uint64_t infraFailed = 0, retried = 0, timedOut = 0;
-    std::uint64_t replayed = 0;
     std::vector<PointFailure> failures;
     std::mutex statsMutex;
 
@@ -1486,15 +1139,6 @@ SweepRunner::run(const std::vector<SweepPoint> &points)
     {
         std::lock_guard<std::mutex> lock(traceMutex_);
         tw = traceWriter_;
-    }
-
-    // Under --resume, failures a prior interrupted run already burned
-    // a full retry budget on are replayed from the journal instead of
-    // re-simulated. Must be read before the journal is recreated.
-    std::map<std::uint64_t, PointFailure> priorFailed;
-    if (cache_.enabled() && robustCfg.resume) {
-        priorFailed =
-            loadJournalFailures(journalPath(cache_.dir(), batch));
     }
 
     std::vector<const Work *> toRun;
@@ -1509,18 +1153,6 @@ SweepRunner::run(const std::vector<SweepPoint> &points)
             }
             for (size_t slot : w.slots)
                 results[slot] = m;
-        } else if (auto it = priorFailed.find(w.hash);
-                   it != priorFailed.end()) {
-            Measurement fm;
-            fm.ok = false;
-            fm.infra = true;
-            fm.error = it->second.error;
-            for (size_t slot : w.slots)
-                results[slot] = fm;
-            failures.push_back(it->second);
-            ++replayed;
-            ++infraFailed;
-            ++failed;
         } else {
             ++misses;
             toRun.push_back(&w);
@@ -1538,28 +1170,14 @@ SweepRunner::run(const std::vector<SweepPoint> &points)
         }
     }
 
-    // The journal exists only while points are in flight, so a fully
-    // warm batch costs nothing and leaves nothing behind.
-    std::unique_ptr<SweepJournal> journal;
-    if (cache_.enabled() && !toRun.empty()) {
-        journal = std::make_unique<SweepJournal>(
-            journalPath(cache_.dir(), batch), batch);
-        // Replayed failures must survive into the fresh journal or a
-        // second --resume would re-simulate them.
-        for (const PointFailure &f : failures)
-            journal->failed(f);
-    }
-
     SweepProgress progress;
-    progress.init(unique.size(), hits + replayed);
+    progress.init(unique.size(), hits);
 
     for (const Work *w : toRun) {
         pool_->submit([this, w, &results, &latch, &statsMutex, &failed,
                        &infraFailed, &retried, &timedOut, &failures,
-                       &journal, &robustCfg, tw, &progress] {
+                       &robustCfg, tw, &progress] {
             progress.onStart();
-            if (journal)
-                journal->start(w->hash);
             const int lane = tw ? hostLaneFor(*tw) : 0;
             const double simStart = tw ? tw->hostNowUs() : 0;
             unsigned attempts = 1, pointTimeouts = 0;
@@ -1576,15 +1194,6 @@ SweepRunner::run(const std::vector<SweepPoint> &points)
                 cache_.store(*w->point, m);
             for (size_t slot : w->slots)
                 results[slot] = m;
-            if (journal) {
-                if (m.infra) {
-                    journal->failed(PointFailure{pointLabel(*w->point),
-                                                 w->hash, m.error,
-                                                 attempts});
-                } else {
-                    journal->done(w->hash);
-                }
-            }
             {
                 std::lock_guard<std::mutex> lock(statsMutex);
                 if (!m.ok)
@@ -1610,32 +1219,13 @@ SweepRunner::run(const std::vector<SweepPoint> &points)
     }
     progress.finish();
 
-    // Deterministic order for manifests, reports and tests regardless
-    // of worker scheduling.
+    // Deterministic order for reports and tests, whatever the workers'
+    // scheduling.
     std::sort(failures.begin(), failures.end(),
               [](const PointFailure &a, const PointFailure &b) {
                   return a.label != b.label ? a.label < b.label
                                             : a.hash < b.hash;
               });
-
-    journal.reset(); // close before deciding its fate
-    if (cache_.enabled()) {
-        std::error_code ec;
-        if (failures.empty()) {
-            // Clean batch: nothing to resume, nothing to report. The
-            // parent directories go too once empty, so a healthy
-            // cache looks exactly as it did before journaling existed.
-            const fs::path jpath = journalPath(cache_.dir(), batch);
-            const fs::path mpath = manifestPath(cache_.dir(), batch);
-            fs::remove(jpath, ec);
-            fs::remove(jpath.parent_path(), ec); // rmdir, if empty
-            fs::remove(mpath, ec);
-            fs::remove(mpath.parent_path(), ec);
-        } else {
-            writeFailureManifest(manifestPath(cache_.dir(), batch),
-                                 batch, points.size(), failures);
-        }
-    }
 
     {
         std::lock_guard<std::mutex> lock(failuresMutex_);
@@ -1665,11 +1255,6 @@ SweepRunner::run(const std::vector<SweepPoint> &points)
         if (infraFailed) {
             std::snprintf(buf, sizeof buf, ", %llu infra-failed",
                           (unsigned long long)infraFailed);
-            extra += buf;
-        }
-        if (replayed) {
-            std::snprintf(buf, sizeof buf, ", %llu replayed",
-                          (unsigned long long)replayed);
             extra += buf;
         }
         if (retried) {

@@ -10,7 +10,8 @@
  * Measurement in a JSON file keyed by a content hash of the full point
  * configuration, the workload profiles behind it, and the simulator
  * version tag (kSimVersionTag). Re-running an unchanged sweep is pure
- * cache hits: zero detailed simulations.
+ * cache hits: zero detailed simulations. Re-running a killed sweep is
+ * how it resumes: only the points it never committed simulate.
  *
  * Determinism: the timing model is deterministic, and every point's
  * RunOptions::seed is derived from its own content hash (never from a
@@ -19,23 +20,16 @@
  * pins this down.
  *
  * Fault tolerance: a multi-hour sweep must degrade by points, not by
- * batches. Four layers, all opt-in or invisible on the clean path:
+ * batches. Three layers, all opt-in or invisible on the clean path:
  *
  *  - Process isolation (RobustConfig::isolate): each simulated point
  *    runs in a forked child that reports its Measurement through a
  *    result file; a crashing or hanging point costs one point (and is
  *    retried), never the batch.
  *  - Deadlines and retries: isolate-mode points get a wall-clock
- *    deadline (SIGKILL + retry with exponential backoff); attempts
+ *    deadline (SIGKILL + retry, exponential backoff from 100 ms); attempts
  *    that keep failing become a structured PointFailure with
  *    Measurement::infra set, never a cached result.
- *  - Crash-safe journaling: while any point is in flight, a per-batch
- *    JSONL journal under "<cache>/journal/" records started, done and
- *    failed points. After a SIGKILL mid-sweep, a RobustConfig::resume
- *    run re-simulates only the points missing from the cache and
- *    replays journaled failures without burning their retry budget.
- *    Batches that end with failures also leave a machine-readable
- *    manifest under "<cache>/manifests/".
  *  - Cache integrity: entries are checksummed end-to-end; corrupt,
  *    truncated or wrong-schema entries are quarantined to
  *    "<cache>/quarantine/" and transparently re-simulated, and write
@@ -53,9 +47,6 @@
  *   VCA_POINT_TIMEOUT  per-point deadline in seconds (isolate mode;
  *                   0 = none)
  *   VCA_RETRIES     extra attempts after a crash/timeout (default 2)
- *   VCA_RETRY_BACKOFF_MS  first retry delay, doubling per retry
- *                   (default 100)
- *   VCA_RESUME      1 replays journaled failures instead of retrying
  *   VCA_FAULT_INJECT  deterministic chaos spec (sim/fault_inject.hh)
  *
  * Bump kSimVersionTag whenever a change affects simulated numbers —
@@ -137,20 +128,6 @@ std::string measurementToJson(const Measurement &m);
 Measurement measurementFromJson(const std::string &text);
 
 /**
- * Content hash naming a batch: FNV-1a over the sorted set of unique
- * point hashes, so the same sweep resolves to the same journal and
- * manifest regardless of point order or duplicates.
- */
-std::uint64_t batchHash(const std::vector<SweepPoint> &points);
-
-/** "<cacheDir>/journal/<batch>.jsonl": the crash-safe batch journal. */
-std::string journalPath(const std::string &cacheDir, std::uint64_t batch);
-
-/** "<cacheDir>/manifests/<batch>.json": per-batch failure manifest. */
-std::string manifestPath(const std::string &cacheDir,
-                         std::uint64_t batch);
-
-/**
  * Execution-robustness knobs for a SweepRunner; the defaults keep the
  * historical in-process, fail-fast behaviour. fromEnv() is what
  * SweepConfig uses, so VCA_ISOLATE=1 turns on isolation for every
@@ -165,19 +142,17 @@ struct RobustConfig
     double pointTimeoutSec = 0;
     /** Extra attempts after a crash or timeout. */
     unsigned retries = 2;
-    /** Delay before the first retry, doubling per further retry. */
-    unsigned backoffMs = 100;
-    /** Replay journaled failures instead of re-running their retry
-     *  budget; also what makes an interrupted sweep cheap to redo. */
-    bool resume = false;
 
     static RobustConfig fromEnv();
+    /** Parse VCA_RETRIES / --retries: digits only, and retries + 1
+     *  must fit in unsigned. False (out untouched) otherwise. */
+    static bool parseRetries(const char *text, unsigned &out);
+    /** Parse VCA_POINT_TIMEOUT / --point-timeout: finite seconds >= 0
+     *  within steady_clock's range. False (out untouched) otherwise. */
+    static bool parsePointTimeout(const char *text, double &out);
 };
 
-/**
- * One point that exhausted its attempts: the structured record that
- * lands in the batch manifest and in SweepRunner::lastFailures().
- */
+/** One point that exhausted its attempts (SweepRunner::lastFailures()). */
 struct PointFailure
 {
     std::string label;       ///< human label (bench/arch/regs)
@@ -196,10 +171,8 @@ struct PointFailure
  * deleted, and the sweep re-simulates — corruption is never fatal.
  * Failed writes (ENOSPC, read-only dir, injected faults) downgrade to
  * running uncached, warning once per process. An empty dir disables
- * the cache entirely. A SIGINT/SIGTERM mid-write unlinks every
- * in-flight temp file before the process dies (default disposition
- * re-raised), so an interrupted sweep never litters the cache
- * directory.
+ * the cache entirely. A writer killed mid-store leaves at most an
+ * orphaned "*.tmp.*" file, which load() never reads.
  */
 class ResultCache
 {

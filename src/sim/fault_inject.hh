@@ -29,8 +29,7 @@
  *
  * Probabilities are in [0, 1]; omitted sites never fire. The global
  * instance parses VCA_FAULT_INJECT once on first use; tests override
- * it with installGlobal(). The injection sites double as the chaos
- * hooks a future vca-sweepd daemon reuses.
+ * it with installGlobal().
  */
 
 #ifndef VCA_SIM_FAULT_INJECT_HH

@@ -40,8 +40,7 @@ run_sweep(clean clean_out
 
 set(chaos_env
     "VCA_FAULT_INJECT=seed=101,crash=0.5,corrupt=1,writefail=0.5,attempts=1"
-    VCA_ISOLATE=1 VCA_RETRIES=3 VCA_RETRY_BACKOFF_MS=1
-    VCA_POINT_TIMEOUT=120)
+    VCA_ISOLATE=1 VCA_RETRIES=3 VCA_POINT_TIMEOUT=120)
 
 run_sweep(chaos chaos_cold_out ${chaos_env})
 if(NOT chaos_cold_out STREQUAL clean_out)

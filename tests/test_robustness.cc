@@ -3,10 +3,11 @@
  * Fault-tolerance tests: the deterministic fault-injection harness,
  * cache integrity (every corruption variant quarantines and
  * re-simulates bit-identically), process-isolated workers with
- * deadlines and retries, crash-safe journaling with --resume, and
- * the chaos property the whole layer exists for — a sweep under
- * injected crashes, hangs, corrupt reads and failed writes produces
- * exactly the same Measurements as a clean run.
+ * deadlines and retries, the parsing of the retry and deadline knobs,
+ * resume-by-rerun after a SIGKILL mid-sweep, and the chaos property
+ * the whole layer exists for — a sweep under injected crashes, hangs,
+ * corrupt reads and failed writes produces exactly the same
+ * Measurements as a clean run.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -481,7 +483,6 @@ TEST(RobustRunner, IsolatedSweepMatchesInProcess)
     cfg.cacheDir.clear();
     cfg.jobs = 1;
     cfg.robust.isolate = true;
-    cfg.robust.backoffMs = 1;
     SweepRunner runner(cfg);
     EXPECT_EQ(runner.run(points), ref)
         << "forked execution must be bit-identical to in-process";
@@ -502,7 +503,6 @@ TEST(RobustRunner, CrashedWorkersRetryToSuccess)
     cfg.jobs = 1;
     cfg.robust.isolate = true;
     cfg.robust.retries = 2;
-    cfg.robust.backoffMs = 1;
     SweepRunner runner(cfg);
     EXPECT_EQ(runner.run(points), ref);
     EXPECT_EQ(runner.lastFailures().size(), 0u);
@@ -524,7 +524,6 @@ TEST(RobustRunner, HungWorkerIsReapedByTheDeadline)
     cfg.robust.isolate = true;
     cfg.robust.pointTimeoutSec = 1.0;
     cfg.robust.retries = 2;
-    cfg.robust.backoffMs = 1;
     SweepRunner runner(cfg);
     setQuiet(true);
     const Measurement m = runner.runPoint(point);
@@ -540,7 +539,6 @@ TEST(RobustRunner, ExhaustedRetriesBecomeStructuredFailures)
     const std::string dir = freshCacheDir("failures");
     const auto points = smallSweep();
     const auto ref = referenceSweep(points);
-    const std::uint64_t batch = batchHash(points);
 
     // attempts=10 > retries: every attempt dies, the point fails.
     FaultInjector::installGlobal("seed=23,crash=1,attempts=10");
@@ -549,7 +547,6 @@ TEST(RobustRunner, ExhaustedRetriesBecomeStructuredFailures)
     cfg.jobs = 1;
     cfg.robust.isolate = true;
     cfg.robust.retries = 1;
-    cfg.robust.backoffMs = 1;
     setQuiet(true);
     {
         SweepRunner runner(cfg);
@@ -568,41 +565,112 @@ TEST(RobustRunner, ExhaustedRetriesBecomeStructuredFailures)
         }
         EXPECT_EQ(runner.pointsInfraFailed.value(),
                   double(points.size()));
-        // Infra failures are never cached, and the batch leaves both
-        // a manifest and a journal for post-mortem and resume.
+        // Infra failures are never cached.
         EXPECT_TRUE(soleEntryPath(dir).empty());
-        EXPECT_TRUE(fs::exists(manifestPath(dir, batch)));
-        EXPECT_TRUE(fs::exists(journalPath(dir, batch)));
     }
 
-    // A resume run replays the journaled failures without burning
-    // another retry budget: zero simulations, zero forked children.
+    // A rerun under the same fault retries the failed points instead
+    // of replaying the earlier failures: infra failures are transient.
     {
-        cfg.robust.resume = true;
-        SweepRunner resumer(cfg);
-        const std::uint64_t simsBefore = runTimingCallCount();
-        const auto results = resumer.run(points);
-        EXPECT_EQ(runTimingCallCount(), simsBefore);
+        SweepRunner rerun(cfg);
+        const auto results = rerun.run(points);
         for (const auto &m : results) {
             EXPECT_FALSE(m.ok);
             EXPECT_TRUE(m.infra);
         }
-        EXPECT_EQ(resumer.lastFailures().size(), points.size());
-        // Replayed, not re-attempted: a re-run under crash=1 would
-        // burn a retry per point.
-        EXPECT_EQ(resumer.pointsRetried.value(), 0.0);
+        EXPECT_EQ(rerun.lastFailures().size(), points.size());
+        EXPECT_GT(rerun.pointsRetried.value(), 0.0);
     }
     setQuiet(false);
 
     // With the fault gone, the same sweep heals: identical to the
-    // reference, and the journal/manifest are cleaned up.
+    // reference.
     FaultInjector::installGlobal("");
-    cfg.robust.resume = false;
     SweepRunner healed(cfg);
     EXPECT_EQ(healed.run(points), ref);
     EXPECT_EQ(healed.lastFailures().size(), 0u);
-    EXPECT_FALSE(fs::exists(manifestPath(dir, batch)));
-    EXPECT_FALSE(fs::exists(journalPath(dir, batch)));
+}
+
+// ---------------------------------------------------------------------
+// VCA_RETRIES / VCA_POINT_TIMEOUT parsing
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** RobustConfig::fromEnv() with one variable set for the call only. */
+RobustConfig
+fromEnvWith(const char *name, const char *value)
+{
+    const char *prev = std::getenv(name);
+    const std::string saved = prev ? prev : "";
+    ::setenv(name, value, 1);
+    setQuiet(true);
+    const RobustConfig r = RobustConfig::fromEnv();
+    setQuiet(false);
+    if (prev)
+        ::setenv(name, saved.c_str(), 1);
+    else
+        ::unsetenv(name);
+    return r;
+}
+
+} // namespace
+
+TEST(RobustParse, RetryCountRejectsSignAndAttemptOverflow)
+{
+    const unsigned def = RobustConfig{}.retries;
+    EXPECT_EQ(fromEnvWith("VCA_RETRIES", "0").retries, 0u);
+    EXPECT_EQ(fromEnvWith("VCA_RETRIES", "3").retries, 3u);
+    EXPECT_EQ(fromEnvWith("VCA_RETRIES", "4294967294").retries,
+              4294967294u);
+    // "-1" must not read as ULONG_MAX, and 4294967295 retries would
+    // make retries + 1 attempts wrap to zero.
+    for (const char *bad : {"-1", "4294967295", "18446744073709551616",
+                            "+3", " 3", "3x", "x"}) {
+        EXPECT_EQ(fromEnvWith("VCA_RETRIES", bad).retries, def)
+            << "VCA_RETRIES=" << bad;
+    }
+
+    // Even set directly, the largest count still makes an attempt.
+    const auto point =
+        makePoint("gap", cpu::RenamerKind::Vca, 128, tinyOptions());
+    SweepConfig cfg;
+    cfg.cacheDir.clear();
+    cfg.jobs = 1;
+    cfg.robust.retries = std::numeric_limits<unsigned>::max();
+    SweepRunner runner(cfg);
+    EXPECT_EQ(runner.runPoint(point), referenceFor(point));
+    EXPECT_EQ(runner.lastFailures().size(), 0u);
+}
+
+TEST(RobustParse, PointTimeoutRejectsWhatTheClockCannotHold)
+{
+    EXPECT_EQ(fromEnvWith("VCA_POINT_TIMEOUT", "0").pointTimeoutSec, 0.0);
+    EXPECT_EQ(fromEnvWith("VCA_POINT_TIMEOUT", "2.5").pointTimeoutSec,
+              2.5);
+    EXPECT_EQ(fromEnvWith("VCA_POINT_TIMEOUT", "86400").pointTimeoutSec,
+              86400.0);
+    // steady_clock's range ends near 9.2e9 s; inf and 1e300 used to
+    // overflow the deadline and kill every worker at once.
+    for (const char *bad : {"inf", "1e300", "1e10", "nan", "-1", "abc",
+                            "5s"}) {
+        EXPECT_EQ(fromEnvWith("VCA_POINT_TIMEOUT", bad).pointTimeoutSec,
+                  0.0)
+            << "VCA_POINT_TIMEOUT=" << bad;
+    }
+
+    // Even set directly, a huge deadline never fires.
+    const auto point =
+        makePoint("gap", cpu::RenamerKind::Vca, 128, tinyOptions());
+    SweepConfig cfg;
+    cfg.cacheDir.clear();
+    cfg.jobs = 1;
+    cfg.robust.isolate = true;
+    cfg.robust.pointTimeoutSec = 1e300;
+    cfg.robust.retries = 0;
+    SweepRunner runner(cfg);
+    EXPECT_EQ(runner.runPoint(point), referenceFor(point));
+    EXPECT_EQ(runner.pointsTimedOut.value(), 0.0);
 }
 
 // ---------------------------------------------------------------------
@@ -629,7 +697,6 @@ TEST(RobustRunner, ChaosSweepIsByteIdenticalToClean)
     cfg.jobs = 1;
     cfg.robust.isolate = true;
     cfg.robust.retries = 3;
-    cfg.robust.backoffMs = 1;
     SweepRunner runner(cfg);
     setQuiet(true);
     EXPECT_EQ(runner.run(points), ref)
@@ -641,7 +708,7 @@ TEST(RobustRunner, ChaosSweepIsByteIdenticalToClean)
 }
 
 // ---------------------------------------------------------------------
-// Crash-safe resume after a SIGKILL mid-sweep
+// Resume after a SIGKILL mid-sweep: rerunning the sweep is enough
 // ---------------------------------------------------------------------
 
 TEST(RobustResume, KilledSweepResumesOnlyMissingPoints)
@@ -692,19 +759,20 @@ TEST(RobustResume, KilledSweepResumesOnlyMissingPoints)
     const std::size_t committed = countEntries();
     ASSERT_GE(committed, 1u) << "child never committed a point";
 
-    // Resume: only the missing points may simulate, and the merged
-    // results must be bit-identical to an uninterrupted sweep.
+    // A plain rerun resumes from the cache alone: only the missing
+    // points may simulate, and the merged results must be
+    // bit-identical to an uninterrupted sweep.
     SweepConfig cfg;
     cfg.cacheDir = dir;
     cfg.jobs = 1;
-    cfg.robust.resume = true;
-    SweepRunner resumer(cfg);
+    SweepRunner rerun(cfg);
     const std::uint64_t simsBefore = runTimingCallCount();
-    EXPECT_EQ(resumer.run(points), ref);
+    EXPECT_EQ(rerun.run(points), ref);
     EXPECT_EQ(runTimingCallCount() - simsBefore,
               points.size() - committed);
-    EXPECT_EQ(resumer.lastFailures().size(), 0u);
+    EXPECT_EQ(rerun.lastFailures().size(), 0u);
 
-    // The clean finish cleans up the batch journal.
-    EXPECT_FALSE(fs::exists(journalPath(dir, batchHash(points))));
+    // Nothing but cache entries: no side log of the batch.
+    EXPECT_FALSE(fs::exists(fs::path(dir) / "journal"));
+    EXPECT_FALSE(fs::exists(fs::path(dir) / "manifests"));
 }

@@ -160,10 +160,6 @@ simMain(int argc, char **argv)
     opts.add("retries", "",
              "sweep mode: extra attempts after a worker crash or "
              "timeout (empty = VCA_RETRIES, default 2)");
-    opts.add("resume", "false",
-             "sweep mode: resume an interrupted sweep — simulate only "
-             "points missing from the cache and replay journaled "
-             "failures instead of retrying them");
     opts.add("list-benches", "false", "list bundled benchmarks and exit");
     opts.add("quiet", "true", "suppress warnings");
     opts.add("help", "false", "show this help");
@@ -303,17 +299,20 @@ simMain(int argc, char **argv)
             const std::string isolate = opts.get("isolate");
             if (isolate != "auto")
                 robust.isolate = isolate == "true" || isolate == "1";
-            if (!opts.get("point-timeout").empty()) {
-                robust.pointTimeoutSec =
-                    std::strtod(opts.get("point-timeout").c_str(),
-                                nullptr);
+            const std::string timeout = opts.get("point-timeout");
+            if (!timeout.empty() &&
+                !analysis::RobustConfig::parsePointTimeout(
+                    timeout.c_str(), robust.pointTimeoutSec)) {
+                fatal("invalid --point-timeout='%s' (want seconds >= 0)",
+                      timeout.c_str());
             }
-            if (!opts.get("retries").empty()) {
-                robust.retries = static_cast<unsigned>(
-                    opts.getU64("retries"));
+            const std::string retries = opts.get("retries");
+            if (!retries.empty() &&
+                !analysis::RobustConfig::parseRetries(retries.c_str(),
+                                                      robust.retries)) {
+                fatal("invalid --retries='%s' (want an integer >= 0)",
+                      retries.c_str());
             }
-            if (opts.getBool("resume"))
-                robust.resume = true;
             runner.setRobust(robust);
         }
         std::unique_ptr<telemetry::ChromeTraceWriter> chromeWriter;
@@ -388,13 +387,6 @@ simMain(int argc, char **argv)
                 std::fprintf(stderr, "  %s: %s (%u attempt%s)\n",
                              f.label.c_str(), f.error.c_str(),
                              f.attempts, f.attempts == 1 ? "" : "s");
-            }
-            if (runner.cache().enabled()) {
-                std::fprintf(
-                    stderr, "sweep: failure manifest: %s\n",
-                    analysis::manifestPath(runner.cache().dir(),
-                                           analysis::batchHash(points))
-                        .c_str());
             }
             return 3;
         }
