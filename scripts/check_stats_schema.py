@@ -21,7 +21,9 @@ plot scripts, regression tracking) rely on:
   - non-detailed documents (config.mode == "sampled" or "simpoint")
     carry a "sampling" block instead of the cpu tree: a well-ordered
     95% CI around mean_cpi, warmth fractions in [0, 1], and exactly
-    `samples` per-sample records.
+    `samples` per-sample records;
+  - the host group (when present) counts host.sim_cycles_skipped, the
+    cycles idle-cycle skipping jumped over, within host.sim_cycles.
 
 Usage:
   check_stats_schema.py FILE.json [FILE2.json ...]
@@ -129,11 +131,32 @@ def validate_sampling(doc, where):
     return errors
 
 
+def validate_host(doc, where):
+    """Errors in the optional host group (wall-clock, not simulated)."""
+    host = doc.get("host")
+    if host is None:
+        return []
+    if not isinstance(host, dict):
+        return [f"{where}: host is not a group"]
+    skipped = host.get("sim_cycles_skipped")
+    if skipped is None:
+        return []
+    cycles = host.get("sim_cycles")
+    if not is_num(skipped) or not is_num(cycles):
+        return [f"{where}: host.sim_cycles_skipped and host.sim_cycles "
+                f"must be numbers"]
+    if not 0 <= skipped <= cycles:
+        return [f"{where}: host.sim_cycles_skipped ({skipped}) is not "
+                f"within [0, host.sim_cycles == {cycles}]"]
+    return []
+
+
 def validate(doc, where):
     """Return a list of error strings (empty when the doc is valid)."""
     errors = []
     if not isinstance(doc, dict):
         return [f"{where}: document is not a JSON object"]
+    errors += validate_host(doc, where)
 
     version = doc.get("schemaVersion")
     if version != EXPECTED_VERSION:
@@ -378,6 +401,15 @@ def selftest():
     doc = make_valid_doc()
     del doc["intervals"]
     expect(doc, True, "document without intervals")
+
+    doc = make_valid_doc()
+    doc["host"] = {"sim_cycles": 100, "sim_cycles_skipped": 61,
+                   "sim_seconds": 0.01}
+    expect(doc, True, "host group with skipped cycles")
+
+    doc = make_valid_doc()
+    doc["host"] = {"sim_cycles": 100, "sim_cycles_skipped": 101}
+    expect(doc, False, "more cycles skipped than simulated")
 
     expect(make_sampled_doc(), True, "valid sampled document")
 

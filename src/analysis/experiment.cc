@@ -121,13 +121,13 @@ runTiming(const std::vector<const isa::Program *> &programs,
         std::unique_ptr<telemetry::RegCacheAnalyzer> analyzer;
         if (opts.regTelemetry)
             analyzer = telemetry::attachRegCacheAnalyzer(cpu);
-        cpu.run(opts.warmupInsts, opts.warmupInsts * 200 + 100'000,
+        cpu.run(opts.warmupInsts, cpu::cycleBudget(opts.warmupInsts),
                 opts.stopOnFirstThread);
         const InstCount warmupInsts = cpu.committedTotal.value();
         const Cycle warmupCycles = cpu.currentCycle();
         cpu.resetStats();
         auto res = cpu.run(opts.measureInsts,
-                           opts.measureInsts * 200 + 100'000,
+                           cpu::cycleBudget(opts.measureInsts),
                            opts.stopOnFirstThread);
         const std::chrono::duration<double> hostElapsed =
             std::chrono::steady_clock::now() - hostStart;
@@ -137,7 +137,8 @@ runTiming(const std::vector<const isa::Program *> &programs,
             stats::HostStats::global().record(
                 hostElapsed.count(),
                 static_cast<double>(warmupInsts + res.totalInsts),
-                static_cast<double>(warmupCycles + res.cycles));
+                static_cast<double>(warmupCycles + res.cycles),
+                static_cast<double>(cpu.skippedCycles()));
         }
         m.ok = true;
         m.cycles = res.cycles;

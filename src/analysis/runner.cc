@@ -902,6 +902,7 @@ SweepRunner::runIsolated(const SweepPoint &point,
             const double sec0 = hs.simSeconds.value();
             const double insts0 = hs.simInsts.value();
             const double cycles0 = hs.simCycles.value();
+            const double skipped0 = hs.simCyclesSkipped.value();
             const double fsec0 = hs.funcSeconds.value();
             const double finsts0 = hs.funcInsts.value();
             const Measurement m = executePoint(point);
@@ -913,6 +914,8 @@ SweepRunner::runIsolated(const SweepPoint &point,
             w.key("seconds").number(hs.simSeconds.value() - sec0);
             w.key("insts").number(hs.simInsts.value() - insts0);
             w.key("cycles").number(hs.simCycles.value() - cycles0);
+            w.key("skipped_cycles")
+                .number(hs.simCyclesSkipped.value() - skipped0);
             w.endObject();
             w.key("func").beginObject();
             w.key("seconds").number(hs.funcSeconds.value() - fsec0);
@@ -1015,10 +1018,13 @@ SweepRunner::runIsolated(const SweepPoint &point,
             const trace::JsonValue *sec = host->find("seconds");
             const trace::JsonValue *insts = host->find("insts");
             const trace::JsonValue *cycles = host->find("cycles");
-            if (sec && insts && cycles && sec->asNumber() > 0) {
-                stats::HostStats::global().record(sec->asNumber(),
-                                                  insts->asNumber(),
-                                                  cycles->asNumber());
+            const trace::JsonValue *skipped =
+                host->find("skipped_cycles");
+            if (sec && insts && cycles && skipped &&
+                sec->asNumber() > 0) {
+                stats::HostStats::global().record(
+                    sec->asNumber(), insts->asNumber(),
+                    cycles->asNumber(), skipped->asNumber());
             }
         }
         if (const trace::JsonValue *func = doc.find("func")) {

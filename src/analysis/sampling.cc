@@ -267,13 +267,15 @@ struct HostSplit
     double simSeconds = 0;
     double simInsts = 0;
     double simCycles = 0;
+    double simCyclesSkipped = 0;
 
     void
     publish(double funcInsts) const
     {
         if (simSeconds > 0 || simInsts > 0)
             stats::HostStats::global().record(simSeconds, simInsts,
-                                              simCycles);
+                                              simCycles,
+                                              simCyclesSkipped);
         if (funcSeconds > 0 || funcInsts > 0)
             stats::HostStats::global().recordFunctional(funcSeconds,
                                                         funcInsts);
@@ -383,7 +385,7 @@ runSmarts(const std::vector<const isa::Program *> &programs,
                 SampleTracer::Span span(tracer, "detail warm-up");
                 const auto warmRes = cpu.run(
                     opts.sampleDetailWarmInsts,
-                    opts.sampleDetailWarmInsts * 200 + 100'000,
+                    cpu::cycleBudget(opts.sampleDetailWarmInsts),
                     opts.stopOnFirstThread);
                 rec.warmCycles = warmRes.cycles;
                 rec.warmInsts = warmRes.totalInsts;
@@ -392,7 +394,7 @@ runSmarts(const std::vector<const isa::Program *> &programs,
             SampleTracer::Span span(tracer, "measure");
             const auto res = cpu.run(
                 opts.sampleQuantumInsts,
-                opts.sampleQuantumInsts * 200 + 100'000,
+                cpu::cycleBudget(opts.sampleQuantumInsts),
                 opts.stopOnFirstThread);
             agg.add(cpu, res);
             rec.cycles = res.cycles;
@@ -403,6 +405,7 @@ runSmarts(const std::vector<const isa::Program *> &programs,
                 m.sampleRecords.push_back(rec);
             }
             host.simCycles += double(cpu.currentCycle());
+            host.simCyclesSkipped += double(cpu.skippedCycles());
         }
         for (InstCount c : committed)
             host.simInsts += double(c);
@@ -521,7 +524,7 @@ runSimPoint(const std::vector<const isa::Program *> &programs,
                 SampleTracer::Span span(tracer, "detail warm-up");
                 const auto warmRes =
                     cpu.run(opts.warmupInsts,
-                            opts.warmupInsts * 200 + 100'000,
+                            cpu::cycleBudget(opts.warmupInsts),
                             opts.stopOnFirstThread);
                 rec.warmCycles = warmRes.cycles;
                 rec.warmInsts = warmRes.totalInsts;
@@ -530,7 +533,7 @@ runSimPoint(const std::vector<const isa::Program *> &programs,
             SampleTracer::Span span(tracer, "measure");
             const auto res =
                 cpu.run(opts.measureInsts,
-                        opts.measureInsts * 200 + 100'000,
+                        cpu::cycleBudget(opts.measureInsts),
                         opts.stopOnFirstThread);
             agg.add(cpu, res);
             if (res.totalInsts) {
@@ -546,6 +549,7 @@ runSimPoint(const std::vector<const isa::Program *> &programs,
             }
             host.simInsts += double(committed);
             host.simCycles += double(cpu.currentCycle());
+            host.simCyclesSkipped += double(cpu.skippedCycles());
         }
 
         warm.mem.copyStateFrom(cpu.memSystem());

@@ -92,6 +92,17 @@ class VcaRenamer : public cpu::Renamer
 #endif
     }
 
+    // An attached probe samples occupancy in beginCycle().
+    bool
+    observesEveryCycle() const override
+    {
+#ifndef VCA_NTELEMETRY
+        return probe_ != nullptr;
+#else
+        return false;
+#endif
+    }
+
     // Statistics.
     stats::Scalar fills;
     stats::Scalar spills;

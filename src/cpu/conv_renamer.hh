@@ -41,6 +41,14 @@ class ConvRenamer : public Renamer
     void squashInst(DynInst &inst) override;
     void validate() const override;
 
+    // renameImpl's free-list refusal only counts itself.
+    bool
+    refusalIsPure(const DynInst &inst) const override
+    {
+        return inst.si->hasDest && freeList_.empty();
+    }
+    void countRefusals(double n) override { renameStallsFreeList += n; }
+
     void switchIn(ThreadId tid, const func::ArchState &state) override;
     std::uint64_t readArchReg(ThreadId tid, isa::RegClass cls,
                               RegIndex idx) override;

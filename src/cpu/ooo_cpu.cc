@@ -1,6 +1,7 @@
 #include "cpu/ooo_cpu.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 
 #include "core/vca_renamer.hh"
@@ -429,6 +430,12 @@ canonFp(double d)
     return std::bit_cast<std::uint64_t>(d);
 }
 
+/** Nops, halts and direct jumps complete at rename, without the IQ. */
+bool
+needsIq(const DynInst &inst)
+{
+    return !inst.si->isNop && !inst.si->isHalt && !inst.si->isJump;
+}
 
 } // namespace
 
@@ -1012,6 +1019,27 @@ OooCpu::insertIq(DynInst *inst)
         readyList_.emplace_back(inst, inst->seq);
 }
 
+bool
+OooCpu::renameReady(const ThreadState &ts, Cycle at) const
+{
+    return !ts.done && ts.renameBlockedUntil <= at &&
+           !ts.fetchQueue.empty() && ts.fetchQueue.front().readyAt <= at;
+}
+
+OooCpu::RenameGate
+OooCpu::renameGate(const ThreadState &ts, const DynInst &inst) const
+{
+    if (robOccupancy() >= params_.robSize)
+        return RenameGate::RobFull;
+    if (needsIq(inst) && iqCount_ >= params_.iqSize)
+        return RenameGate::IqFull;
+    if ((inst.isLoad() && ts.lq.size() >= params_.lqSize) ||
+        (inst.isStore() && ts.sq.size() >= params_.sqSize)) {
+        return RenameGate::LsqFull;
+    }
+    return RenameGate::Ok;
+}
+
 void
 OooCpu::renameStage()
 {
@@ -1035,35 +1063,26 @@ OooCpu::renameStage()
     for (unsigned i = 0; i < nThreads && budget > 0; ++i) {
         const unsigned t = (renameRR_ + i) % nThreads;
         ThreadState &ts = threads_[t];
-        if (ts.done || ts.renameBlockedUntil > now_)
-            continue;
-
-        while (budget > 0 && !ts.fetchQueue.empty() &&
-               ts.fetchQueue.front().readyAt <= now_) {
+        while (budget > 0 && renameReady(ts, now_)) {
             DynInst *inst = ts.fetchQueue.front().inst;
 
-            if (robOccupancy() >= params_.robSize) {
+            const RenameGate gate = renameGate(ts, *inst);
+            if (gate == RenameGate::RobFull) {
                 ++robFullStalls;
                 DPRINTFT(Rename, t, "stall: ROB full");
                 budget = 0;
                 break;
             }
-            const bool needsIq = !inst->si->isNop &&
-                                 !inst->si->isHalt && !inst->si->isJump;
-            if (needsIq && iqCount_ >= params_.iqSize) {
+            if (gate == RenameGate::IqFull) {
                 ++iqFullStalls;
                 DPRINTFT(Rename, t, "stall: IQ full");
                 budget = 0;
                 break;
             }
-            if (inst->isLoad() && ts.lq.size() >= params_.lqSize) {
+            if (gate == RenameGate::LsqFull) {
                 ++lsqFullStalls;
-                DPRINTFT(Rename, t, "stall: LQ full");
-                break;
-            }
-            if (inst->isStore() && ts.sq.size() >= params_.sqSize) {
-                ++lsqFullStalls;
-                DPRINTFT(Rename, t, "stall: SQ full");
+                DPRINTFT(Rename, t, "stall: %s full",
+                         inst->isLoad() ? "LQ" : "SQ");
                 break;
             }
 
@@ -1093,7 +1112,7 @@ OooCpu::renameStage()
             if (inst->isStore())
                 ts.sq.push_back(inst);
 
-            if (needsIq) {
+            if (needsIq(*inst)) {
                 insertIq(inst);
             } else {
                 // Nops, halts and direct jumps complete immediately.
@@ -1112,6 +1131,13 @@ OooCpu::renameStage()
         ++renameStallCycles;
 }
 
+bool
+OooCpu::canFetch(const ThreadState &ts, Cycle at) const
+{
+    return !ts.done && !ts.fetchHalted && ts.fetchReadyAt <= at &&
+           ts.fetchQueue.size() < params_.width * (frontendDelay_ + 2);
+}
+
 ThreadId
 OooCpu::pickFetchThread() const
 {
@@ -1119,12 +1145,8 @@ OooCpu::pickFetchThread() const
     unsigned bestCount = ~0u;
     for (unsigned t = 0; t < params_.numThreads; ++t) {
         const ThreadState &ts = threads_[t];
-        if (ts.done || ts.fetchHalted || ts.fetchReadyAt > now_)
+        if (!canFetch(ts, now_))
             continue;
-        if (ts.fetchQueue.size() >=
-            params_.width * (frontendDelay_ + 2)) {
-            continue;
-        }
         const unsigned count = inflightCount(static_cast<ThreadId>(t));
         if (count < bestCount) {
             bestCount = count;
@@ -1326,18 +1348,18 @@ OooCpu::classifyThread(unsigned t) const
 }
 
 /**
- * Attribute this cycle: one machine-level leaf and one leaf per
- * hardware thread, so every tree in cpu.cycle_accounting.taxonomy
- * partitions cpu.cycles exactly. Runs after every stage so
- * rename-stall state from this cycle is visible.
+ * Attribute this cycle (or `cycles` identical skipped ones): one
+ * machine-level leaf and one leaf per hardware thread, so every tree
+ * in cpu.cycle_accounting.taxonomy partitions cpu.cycles exactly. Runs
+ * after every stage so rename-stall state from this cycle is visible.
  */
 void
-OooCpu::accountTaxonomy(double committedThisCycle)
+OooCpu::accountTaxonomy(double committedThisCycle, double cycles)
 {
     CycleTaxonomy &tax = cycleAccounting.taxonomy;
-    tax.add(classifyMachine(committedThisCycle));
+    tax.add(classifyMachine(committedThisCycle), cycles);
     for (unsigned t = 0; t < params_.numThreads; ++t) {
-        tax.thread(t).add(classifyThread(t));
+        tax.thread(t).add(classifyThread(t), cycles);
         threads_[t].renameRefused = false;
     }
 }
@@ -1366,6 +1388,211 @@ OooCpu::tick()
     accountTaxonomy(committedDelta);
 }
 
+namespace {
+
+/** Process-wide switch behind setIdleSkippingForTest(). */
+std::atomic<bool> idleSkipping{true};
+
+} // namespace
+
+void
+setIdleSkippingForTest(bool enabled)
+{
+    idleSkipping.store(enabled, std::memory_order_relaxed);
+}
+
+/** Skipping stays off while something observes every cycle: a debug
+ *  flag (DPRINTF stamps every stall cycle) or a register-cache probe
+ *  (its onCycle samples occupancy every N cycles). */
+bool
+OooCpu::idleSkipAllowed() const
+{
+    return idleSkipping.load(std::memory_order_relaxed) &&
+           !trace::anyFlagEnabled() && !renamer_->observesEveryCycle();
+}
+
+/**
+ * Forward quiescence of the post-tick state: the next cycle drains no
+ * store, issues no spill/fill transfer, commits, issues and fetches
+ * nothing, so it touches no cache (and no MSHR can reject it). Rename
+ * is left to the per-phase dry run in skipQuiescentCycles(); events
+ * and time-triggered thread state bound the span through
+ * nextWakeCycle().
+ */
+bool
+OooCpu::quiescent() const
+{
+    if (!storeBuffer_.empty() || pendingTransferValid_ ||
+        renamer_->hasTransferOp()) {
+        return false;
+    }
+    for (const ThreadState &ts : threads_) {
+        if (!ts.rob.empty() && ts.rob.front()->completed)
+            return false;
+        // Fetch serves one thread per cycle: a thread that missed in
+        // the icache this cycle leaves the next cycle to another one.
+        if (canFetch(ts, now_ + 1))
+            return false;
+    }
+    // A live ready-list record issues, unless it is a load that has
+    // its address and still waits on an older store's: that retry is
+    // pure and repeats every cycle until the store issues.
+    for (const auto &[inst, seq] : readyList_) {
+        if (inst->seq != seq || inst->squashed || inst->issued)
+            continue;
+        DynInst *forwardFrom = nullptr;
+        if (!inst->isLoad() || !inst->effAddrValid ||
+            loadReadyInLsq(inst, &forwardFrom)) {
+            return false;
+        }
+    }
+    return true;
+}
+
+/** First cycle after now_ at which anything can change: a due
+ *  completion or transfer event, or a live thread's fetch, rename or
+ *  icache timer. neverCycle when nothing is pending. */
+Cycle
+OooCpu::nextWakeCycle() const
+{
+    Cycle wake = std::min(events_.nextDue(now_),
+                          transferEvents_.nextDue(now_));
+    const auto until = [&](Cycle c) {
+        if (c > now_)
+            wake = std::min(wake, c);
+    };
+    for (const ThreadState &ts : threads_) {
+        if (ts.done)
+            continue;
+        until(ts.fetchReadyAt);
+        until(ts.renameBlockedUntil);
+        until(ts.icacheStallUntil);
+        if (!ts.fetchQueue.empty())
+            until(ts.fetchQueue.front().readyAt);
+    }
+    return wake;
+}
+
+/**
+ * renameStage() for `cycles` identical cycles of a quiescent span
+ * (`at` is any one of them) whose round robin starts at thread
+ * `first`: bumps the stall counters and replays pure refusals
+ * (Renamer::refusalIsPure) `cycles` times over. Returns false when
+ * some thread would reach a rename that may succeed or touch renamer
+ * state (a refused VCA rename updates its table); such a cycle is
+ * ticked. `cycles == 0` only checks.
+ */
+bool
+OooCpu::renameStallCycle(unsigned first, Cycle at, double cycles)
+{
+    const unsigned nThreads = params_.numThreads;
+    for (unsigned i = 0; i < nThreads; ++i) {
+        ThreadState &ts = threads_[(first + i) % nThreads];
+        if (!renameReady(ts, at))
+            continue;
+        const DynInst &inst = *ts.fetchQueue.front().inst;
+        switch (renameGate(ts, inst)) {
+          case RenameGate::Ok:
+            if (!renamer_->refusalIsPure(inst))
+                return false;
+            if (cycles > 0) {
+                renamer_->countRefusals(cycles);
+                renamerRefusedThisCycle_ = true;
+                ts.renameRefused = true;
+                ts.renameRefusedCause = renamer_->lastStallCause();
+            }
+            break;
+          case RenameGate::RobFull:
+            robFullStalls += cycles;
+            return true;
+          case RenameGate::IqFull:
+            iqFullStalls += cycles;
+            return true;
+          case RenameGate::LsqFull:
+            lsqFullStalls += cycles;
+            break;
+        }
+    }
+    return true;
+}
+
+/**
+ * Idle-cycle skipping (DESIGN.md §5): when the post-tick state is
+ * quiescent, advance now_ to one cycle before the wake cycle (or to
+ * lastCycle, the run's budget) and replay the skipped cycles'
+ * per-cycle effects in bulk, so every statistic ends exactly as if
+ * each cycle had been ticked.
+ */
+void
+OooCpu::skipQuiescentCycles(Cycle lastCycle)
+{
+    if (!quiescent())
+        return;
+    // Rename's round-robin phase advances each cycle and decides
+    // which stall counter a cycle bumps, which threads are refused, or
+    // whether a head slips past a full IQ into the renamer: end the
+    // span before the first phase that would rename. The first phase
+    // is checked before the wake search because it is what usually
+    // keeps an otherwise quiet core ticking (a VCA rename retried
+    // every cycle).
+    const unsigned nThreads = params_.numThreads;
+    const bool renameRuns = !renamer_->transfersBlockRename();
+    if (renameRuns && !renameStallCycle(renameRR_, now_ + 1, 0))
+        return;
+    const Cycle wake = nextWakeCycle();
+    if (wake == neverCycle && lastCycle == neverCycle)
+        return; // nothing can ever change: tick on as before
+    Cycle skip = std::min(wake - 1, lastCycle) - now_;
+    if (renameRuns) {
+        for (unsigned p = 1; p < nThreads && p < skip; ++p) {
+            if (!renameStallCycle((renameRR_ + p) % nThreads, now_ + 1,
+                                  0)) {
+                skip = p;
+                break;
+            }
+        }
+    }
+    if (skip == 0)
+        return;
+
+    now_ += skip;
+    numCycles += double(skip);
+    skippedCycles_ += skip;
+    trace::setTraceCycle(now_);
+    if (skip >= statSampleCountdown_) {
+        const Cycle interval = params_.statSampleInterval;
+        const Cycle past = skip - statSampleCountdown_;
+        const Cycle samples = 1 + past / interval;
+        statSampleCountdown_ = static_cast<unsigned>(interval -
+                                                     past % interval);
+        robOccupancyDist.sample(static_cast<double>(robCount_), samples);
+        iqOccupancyDist.sample(static_cast<double>(iqCount_), samples);
+    } else {
+        statSampleCountdown_ -= static_cast<unsigned>(skip);
+    }
+    for (unsigned t = 0; t < nThreads; ++t)
+        commitSnapshot_[t] = threads_[t].committed;
+    commitRR_ = static_cast<unsigned>((commitRR_ + skip) % nThreads);
+
+    // now_ is the span's last cycle. Classification is constant until
+    // the wake cycle, except for the refusal flags each phase sets.
+    if (!renameRuns) {
+        renamerRefusedThisCycle_ = false;
+        accountTaxonomy(0, double(skip));
+        return;
+    }
+    renamer_->beginCycle(now_);
+    renameStallCycles += double(skip);
+    for (unsigned p = 0; p < nThreads && p < skip; ++p) {
+        const double cycles =
+            double(skip / nThreads + (p < skip % nThreads ? 1 : 0));
+        renamerRefusedThisCycle_ = false;
+        renameStallCycle((renameRR_ + p) % nThreads, now_, cycles);
+        accountTaxonomy(0, cycles);
+    }
+    renameRR_ = static_cast<unsigned>((renameRR_ + skip) % nThreads);
+}
+
 RunResult
 OooCpu::run(InstCount maxInstsPerThread, Cycle maxCycles,
             bool stopOnFirstThread)
@@ -1374,6 +1601,11 @@ OooCpu::run(InstCount maxInstsPerThread, Cycle maxCycles,
     for (unsigned t = 0; t < params_.numThreads; ++t)
         startCounts[t] = threads_[t].committed;
     const Cycle startCycle = now_;
+    const Cycle lastCycle =
+        maxCycles == 0 || maxCycles > neverCycle - startCycle
+            ? neverCycle
+            : startCycle + maxCycles;
+    const bool skipIdle = idleSkipAllowed();
 
     auto reached = [&](unsigned t) {
         return threads_[t].done ||
@@ -1382,7 +1614,7 @@ OooCpu::run(InstCount maxInstsPerThread, Cycle maxCycles,
     };
 
     for (;;) {
-        if (maxCycles && now_ - startCycle >= maxCycles)
+        if (now_ >= lastCycle)
             break;
         bool allDone = true;
         bool anyDone = false;
@@ -1394,6 +1626,11 @@ OooCpu::run(InstCount maxInstsPerThread, Cycle maxCycles,
         }
         if (allDone || (stopOnFirstThread && anyDone))
             break;
+        if (skipIdle) {
+            skipQuiescentCycles(lastCycle);
+            if (now_ == lastCycle)
+                break;
+        }
         tick();
     }
 

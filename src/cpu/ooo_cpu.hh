@@ -93,7 +93,11 @@ class TaxonomyBuckets : public stats::StatGroup
      *  "backend_memory.dcache". */
     static const char *leafName(Leaf leaf);
 
-    void add(Leaf leaf) { ++*leaves_[static_cast<unsigned>(leaf)]; }
+    void
+    add(Leaf leaf, double cycles = 1)
+    {
+        *leaves_[static_cast<unsigned>(leaf)] += cycles;
+    }
 
     double
     leafValue(Leaf leaf) const
@@ -213,6 +217,28 @@ class CycleAccounting : public stats::StatGroup
     double bucketCycles(Bucket bucket) const;
 };
 
+/**
+ * Cycle budget for a run of `insts` instructions per thread: 200
+ * cycles per instruction plus 100k cycles of slack, saturating at the
+ * largest Cycle instead of wrapping.
+ */
+constexpr Cycle
+cycleBudget(InstCount insts)
+{
+    constexpr Cycle perInst = 200;
+    constexpr Cycle slack = 100'000;
+    return insts > (neverCycle - slack) / perInst
+               ? neverCycle
+               : insts * perInst + slack;
+}
+
+/**
+ * Test-only: turn idle-cycle skipping in OooCpu::run off (or back on)
+ * for every core in the process, so a test can compare a run with its
+ * tick-by-tick reference. Not a simulator option.
+ */
+void setIdleSkippingForTest(bool enabled);
+
 class OooCpu : public stats::StatGroup
 {
   public:
@@ -228,7 +254,9 @@ class OooCpu : public stats::StatGroup
 
     /**
      * Run until every thread commits maxInstsPerThread (or halts), one
-     * thread commits that many (stopOnFirstThread), or maxCycles pass.
+     * thread commits that many (stopOnFirstThread), or maxCycles pass
+     * (0 = no limit). Quiescent spans are skipped in one step with
+     * byte-identical statistics (DESIGN.md §5, "Idle-cycle skipping").
      */
     RunResult run(InstCount maxInstsPerThread,
                   Cycle maxCycles = 0,
@@ -256,6 +284,10 @@ class OooCpu : public stats::StatGroup
         return threads_.at(tid).committed;
     }
     Cycle currentCycle() const { return now_; }
+
+    /** Cycles run() skipped instead of ticking, over the core's life
+     *  (a host statistic: host.sim_cycles_skipped). */
+    Cycle skippedCycles() const { return skippedCycles_; }
 
     /**
      * The core's designated randomness source, seeded from
@@ -378,6 +410,16 @@ class OooCpu : public stats::StatGroup
         ThreadId tid;
     };
 
+    /** Why rename cannot take a fetch-queue head, in renameStage's
+     *  check order; Ok means the head reaches the renamer. */
+    enum class RenameGate : std::uint8_t
+    {
+        Ok,
+        RobFull,
+        IqFull,
+        LsqFull,
+    };
+
     // Pipeline stages (called in reverse order each tick).
     void processCompletions();
     void commitStage();
@@ -386,7 +428,7 @@ class OooCpu : public stats::StatGroup
     void fetchStage();
 
     // Helpers.
-    void accountTaxonomy(double committedThisCycle);
+    void accountTaxonomy(double committedThisCycle, double cycles = 1);
     TaxonomyBuckets::Leaf classifyHead(const DynInst *head) const;
     TaxonomyBuckets::Leaf classifyMachine(double committedThisCycle) const;
     TaxonomyBuckets::Leaf classifyThread(unsigned t) const;
@@ -404,6 +446,17 @@ class OooCpu : public stats::StatGroup
     unsigned inflightCount(ThreadId tid) const;
     unsigned fuLimit(isa::FuClass fu) const;
     ThreadId pickFetchThread() const;
+    bool canFetch(const ThreadState &ts, Cycle at) const;
+    bool renameReady(const ThreadState &ts, Cycle at) const;
+    RenameGate renameGate(const ThreadState &ts,
+                          const DynInst &inst) const;
+
+    // Idle-cycle skipping (DESIGN.md §5).
+    bool idleSkipAllowed() const;
+    bool quiescent() const;
+    Cycle nextWakeCycle() const;
+    bool renameStallCycle(unsigned first, Cycle at, double cycles);
+    void skipQuiescentCycles(Cycle lastCycle);
 
     CpuParams params_;
     Rng rng_;
@@ -422,6 +475,7 @@ class OooCpu : public stats::StatGroup
                             ///< incrementally (robOccupancy() reads it)
     unsigned statSampleCountdown_ = 1; ///< cycles to the next
                                        ///< occupancy-distribution sample
+    Cycle skippedCycles_ = 0; ///< see skippedCycles()
 
     // Instruction queue: ready list plus per-register waiter lists.
     // Entries carry the sequence number at insertion so records that

@@ -76,6 +76,27 @@ class Renamer
     /** Called once at the top of each rename cycle (resets port use). */
     virtual void beginCycle(Cycle now) { (void)now; }
 
+    /** True while an observer needs beginCycle() on every cycle (an
+     *  attached register-cache probe); turns idle-cycle skipping off. */
+    virtual bool observesEveryCycle() const { return false; }
+
+    /**
+     * Idle-cycle skipping: true when rename(inst) would return false
+     * and change nothing but the counter countRefusals() bumps, with
+     * lastStallCause() already naming the cause. A skipped span then
+     * replays such refusals in bulk; the default keeps every refusal
+     * ticked.
+     */
+    virtual bool
+    refusalIsPure(const DynInst &inst) const
+    {
+        (void)inst;
+        return false;
+    }
+
+    /** Count `n` refusals that refusalIsPure() vouched for. */
+    virtual void countRefusals(double n) { (void)n; }
+
     /**
      * Rename one instruction in program order. On success fills the
      * inst's physical register fields and returns true. Returns false

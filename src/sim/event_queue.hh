@@ -22,6 +22,17 @@
  *  - events scheduled for a cycle that is never popped simply stay
  *    queued (the map behaved the same way: find(now) only matched the
  *    exact key).
+ *
+ * nextDue(after) answers "when is my next event due?" — the smallest
+ * cycle after `after` that popAt() would return events for, matching
+ * `when` exactly like popAt does, so stale past entries parked in a
+ * ring slot never count. The detailed core uses it to jump over idle
+ * cycles (DESIGN.md §5, "Idle-cycle skipping"). A skip can never
+ * strand an event: it stops one cycle short of nextDue(), so every
+ * cycle that has events is still popped; and the first popAt() after
+ * a skip moves the ring base to where the skipped pops would have
+ * left it before anything is scheduled again, so every later event
+ * lands in the same ring slot or overflow bucket as without the skip.
  */
 
 #ifndef VCA_SIM_EVENT_QUEUE_HH
@@ -131,6 +142,34 @@ class CalendarQueue
         size_ -= scratch_.size();
         for (Entry &e : scratch_)
             out.push_back(std::move(e.item));
+    }
+
+    /**
+     * The earliest cycle after `after` at which popAt() would return
+     * events, or neverCycle when none is queued. `after` must be at or
+     * past the last popped cycle. Cost: one bucket test per cycle up
+     * to the answer, at most one horizon.
+     */
+    Cycle
+    nextDue(Cycle after) const
+    {
+        if (size_ == 0)
+            return neverCycle;
+        Cycle due = neverCycle;
+        const auto it = overflow_.upper_bound(after);
+        if (it != overflow_.end())
+            due = it->first;
+        // Every ring entry was scheduled below (base at the time) +
+        // horizon, and the base only grows, so the scan can stop at
+        // base_ + horizon().
+        const Cycle end = std::min(due, base_ + horizon());
+        for (Cycle c = after + 1; c < end; ++c) {
+            for (const Entry &e : buckets_[c & mask_]) {
+                if (e.when == c)
+                    return c;
+            }
+        }
+        return due;
     }
 
   private:

@@ -1,5 +1,6 @@
 #include "sim/options.hh"
 
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
 
@@ -91,7 +92,20 @@ Options::get(const std::string &name) const
 std::uint64_t
 Options::getU64(const std::string &name) const
 {
-    return std::strtoull(get(name).c_str(), nullptr, 10);
+    // strtoull alone accepts a sign ("-1" wraps to 2^64-1), stops at
+    // the first non-digit ("abc" reads as 0) and saturates on
+    // overflow; demand plain decimal digits that fit instead.
+    const std::string v = get(name);
+    errno = 0;
+    const bool digits = !v.empty() &&
+        v.find_first_not_of("0123456789") == std::string::npos;
+    const std::uint64_t n = digits ? std::strtoull(v.c_str(), nullptr, 10)
+                                   : 0;
+    if (!digits || errno == ERANGE) {
+        fatal("invalid --%s='%s' (want an unsigned integer)",
+              name.c_str(), v.c_str());
+    }
+    return n;
 }
 
 double

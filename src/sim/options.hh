@@ -31,6 +31,8 @@ class Options
     bool parse(int argc, const char *const *argv);
 
     std::string get(const std::string &name) const;
+    /** The value as an unsigned decimal; fatal() (FatalError) naming
+     *  the flag on a sign, any non-digit, or overflow. */
     std::uint64_t getU64(const std::string &name) const;
     double getDouble(const std::string &name) const;
     bool getBool(const std::string &name) const;

@@ -32,6 +32,9 @@ using ThreadId = std::uint8_t;
 /** Sentinel physical register meaning "no register". */
 constexpr PhysRegIndex invalidPhysReg = -1;
 
+/** Sentinel cycle meaning "never": no event due, no cycle budget. */
+constexpr Cycle neverCycle = std::numeric_limits<Cycle>::max();
+
 /** Sentinel address used for "no address". */
 constexpr Addr invalidAddr = std::numeric_limits<Addr>::max();
 

@@ -9,6 +9,9 @@ HostStats::HostStats(StatGroup *parent)
       simInsts(this, "sim_insts",
                "instructions committed by detailed simulation"),
       simCycles(this, "sim_cycles", "cycles simulated in detail"),
+      simCyclesSkipped(this, "sim_cycles_skipped",
+                       "of sim_cycles, quiescent cycles skipped "
+                       "instead of ticked"),
       simRuns(this, "sim_runs", "detailed simulations contributing"),
       simMips(this, "sim_mips",
               "simulated million instructions per host second",
@@ -37,12 +40,14 @@ HostStats::HostStats(StatGroup *parent)
 }
 
 void
-HostStats::record(double seconds, double insts, double cycles)
+HostStats::record(double seconds, double insts, double cycles,
+                  double skippedCycles)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     simSeconds += seconds;
     simInsts += insts;
     simCycles += cycles;
+    simCyclesSkipped += skippedCycles;
     ++simRuns;
 }
 

@@ -33,8 +33,10 @@ class HostStats : public StatGroup
   public:
     explicit HostStats(StatGroup *parent = nullptr);
 
-    /** Accumulate one detailed-simulation interval (thread-safe). */
-    void record(double seconds, double insts, double cycles);
+    /** Accumulate one detailed-simulation interval (thread-safe);
+     *  `skippedCycles` of its `cycles` were skipped, not ticked. */
+    void record(double seconds, double insts, double cycles,
+                double skippedCycles = 0);
 
     /** Accumulate one functional (fast-forward/warming) interval. */
     void recordFunctional(double seconds, double insts);
@@ -42,6 +44,7 @@ class HostStats : public StatGroup
     stats::Scalar simSeconds; ///< wall-clock inside detailed simulation
     stats::Scalar simInsts;   ///< instructions committed in that time
     stats::Scalar simCycles;  ///< cycles simulated in that time
+    stats::Scalar simCyclesSkipped; ///< of those, skipped while idle
     stats::Scalar simRuns;    ///< detailed simulations contributing
     stats::Formula simMips;   ///< simulated million insts / host second
     stats::Formula cyclesPerSec; ///< simulated cycles / host second

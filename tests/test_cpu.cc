@@ -415,6 +415,35 @@ TEST(Timing, SingleDcachePortIsSlower)
 }
 
 // ---------------------------------------------------------------------
+// Cycle budgets
+// ---------------------------------------------------------------------
+
+TEST(CycleBudget, SaturatesInsteadOfWrapping)
+{
+    EXPECT_EQ(cycleBudget(0), 100'000u);
+    EXPECT_EQ(cycleBudget(20'000), 20'000u * 200 + 100'000);
+    const InstCount lastExact = (neverCycle - 100'000) / 200;
+    EXPECT_EQ(cycleBudget(lastExact), lastExact * 200 + 100'000);
+    EXPECT_EQ(cycleBudget(lastExact + 1), neverCycle);
+    EXPECT_EQ(cycleBudget(UINT64_MAX), neverCycle)
+        << "UINT64_MAX * 200 + 100000 used to wrap to 99,800 cycles";
+}
+
+TEST(CycleBudget, SaturatedBudgetAfterEarlierCyclesStillRuns)
+{
+    // run()'s last cycle is startCycle + maxCycles: once the core has
+    // simulated any cycles, a saturated budget must not wrap into the
+    // past and end the run at once.
+    const isa::Program *prog =
+        wload::cachedProgram(wload::profileByName("mcf"), true);
+    OooCpu cpu(paramsFor(RenamerKind::Vca, 192), {prog});
+    cpu.run(1'000, cycleBudget(1'000));
+    ASSERT_GT(cpu.currentCycle(), 0u);
+    const RunResult res = cpu.run(2'000, cycleBudget(UINT64_MAX));
+    EXPECT_GE(res.totalInsts, 2'000u);
+}
+
+// ---------------------------------------------------------------------
 // Switch-in: functional fast-forward of N instructions followed by
 // state transfer must leave the detailed core on the exact
 // architectural path — its commit stream from that point is

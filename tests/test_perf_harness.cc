@@ -109,7 +109,7 @@ TEST(PerfHarness, WarmSweepRunsZeroDetailedSims)
 TEST(PerfHarness, HostStatsExportToJson)
 {
     stats::HostStats host;
-    host.record(0.5, 2'000'000, 4'000'000);
+    host.record(0.5, 2'000'000, 4'000'000, 3'000'000);
     host.record(0.5, 1'000'000, 2'000'000);
 
     std::ostringstream os;
@@ -131,6 +131,7 @@ TEST(PerfHarness, HostStatsExportToJson)
     EXPECT_DOUBLE_EQ(num("sim_seconds"), 1.0);
     EXPECT_DOUBLE_EQ(num("sim_insts"), 3'000'000.0);
     EXPECT_DOUBLE_EQ(num("sim_cycles"), 6'000'000.0);
+    EXPECT_DOUBLE_EQ(num("sim_cycles_skipped"), 3'000'000.0);
     EXPECT_DOUBLE_EQ(num("sim_runs"), 2.0);
     // Derived values stay consistent with their inputs after export:
     // this is what perf_compare.py consumes.

@@ -7,7 +7,9 @@
  * These structures carry the bit-identity guarantee of the hot-path
  * rewrite, so each is driven with adversarial traffic — overflow
  * buckets, never-popped past events, wraparound, aliased cache slots,
- * clear() generations — against a trivially correct reference.
+ * clear() generations — against a trivially correct reference. The
+ * queue's nextDue(), which idle-cycle skipping jumps to, is checked
+ * against a std::multimap.
  */
 
 #include <gtest/gtest.h>
@@ -158,6 +160,96 @@ TEST(CalendarQueue, ResetDropsEverythingAndRoundsHorizon)
     std::vector<int> out;
     q.popAt(5, out);
     EXPECT_TRUE(out.empty());
+}
+
+/** Reference for nextDue(): the first multimap key after `after`. */
+Cycle
+refNextDue(const std::multimap<Cycle, int> &ref, Cycle after)
+{
+    const auto it = ref.upper_bound(after);
+    return it == ref.end() ? neverCycle : it->first;
+}
+
+TEST(CalendarQueue, NextDueMatchesMultimapReference)
+{
+    for (std::uint64_t seed = 0; seed < 8; ++seed) {
+        Rng rng(seed * 977 + 3);
+        CalendarQueue<int> q(16); // small horizon: exercise overflow
+        std::multimap<Cycle, int> ref;
+        Cycle now = 0;
+        int next = 0;
+        std::vector<int> got, want;
+        ASSERT_EQ(q.nextDue(0), neverCycle) << "empty queue";
+        for (int step = 0; step < 3000; ++step) {
+            const auto n = rng.range(0, 3);
+            for (std::int64_t i = 0; i < n; ++i) {
+                Cycle when;
+                if (now > 8 && rng.chance(0.05)) {
+                    // Stale: in the past, parked in a ring slot or the
+                    // overflow map, never due again.
+                    when = now - static_cast<Cycle>(rng.range(1, 8));
+                } else if (rng.chance(0.1)) {
+                    when = now + static_cast<Cycle>(rng.range(17, 400));
+                } else {
+                    when = now + static_cast<Cycle>(rng.range(0, 20));
+                }
+                q.schedule(when, next);
+                ref.emplace(when, next);
+                ++next;
+            }
+            // Ask from the last popped cycle and from a little ahead.
+            const Cycle ahead = now + static_cast<Cycle>(rng.range(0, 40));
+            ASSERT_EQ(q.nextDue(now), refNextDue(ref, now))
+                << "seed " << seed << " step " << step << " now " << now;
+            ASSERT_EQ(q.nextDue(ahead), refNextDue(ref, ahead))
+                << "seed " << seed << " step " << step << " after "
+                << ahead;
+
+            // Advance the way the detailed core does: usually a few
+            // cycles (skipping some events), sometimes straight to the
+            // next due cycle as an idle-cycle skip would.
+            const Cycle due = q.nextDue(now);
+            if (due != neverCycle && rng.chance(0.3))
+                now = due;
+            else
+                now += static_cast<Cycle>(rng.range(0, 5));
+            got.clear();
+            want.clear();
+            q.popAt(now, got);
+            const auto [lo, hi] = ref.equal_range(now);
+            for (auto it = lo; it != hi; ++it)
+                want.push_back(it->second);
+            ref.erase(lo, hi);
+            ASSERT_EQ(got, want) << "seed " << seed << " step " << step;
+            ASSERT_EQ(q.size(), ref.size());
+        }
+    }
+}
+
+TEST(CalendarQueue, NextDueIgnoresStaleEntriesSharingASlot)
+{
+    CalendarQueue<int> q(16);
+    std::vector<int> out;
+    EXPECT_EQ(q.nextDue(0), neverCycle);
+    q.schedule(5, 1);
+    q.popAt(10, out); // cycle 5 is skipped: its entry goes stale
+    EXPECT_TRUE(out.empty());
+    EXPECT_EQ(q.size(), 1u);
+    EXPECT_EQ(q.nextDue(10), neverCycle)
+        << "a stale entry is never due again";
+
+    q.schedule(5 + q.horizon(), 2); // same ring slot as the stale entry
+    EXPECT_EQ(q.nextDue(10), 5 + q.horizon());
+    q.schedule(200, 3); // beyond the horizon: the overflow map
+    EXPECT_EQ(q.overflowSize(), 1u);
+    EXPECT_EQ(q.nextDue(5 + q.horizon()), 200u);
+    q.popAt(5 + q.horizon(), out);
+    EXPECT_EQ(out, std::vector<int>{2});
+    EXPECT_EQ(q.nextDue(5 + q.horizon()), 200u);
+    out.clear();
+    q.popAt(200, out);
+    EXPECT_EQ(out, std::vector<int>{3});
+    EXPECT_EQ(q.nextDue(200), neverCycle);
 }
 
 // ---------------------------------------------------------------------

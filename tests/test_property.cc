@@ -13,19 +13,30 @@
  *    cancellation interleavings always drain without deadlock, and the
  *    Measurement JSON round-trip used by the on-disk result cache is
  *    lossless for arbitrary field values.
+ *  - Idle-cycle skipping is transparent: random profiles on every
+ *    renamer, 1/2/4 threads, detailed and sampled, dump the same
+ *    statistics with skipping on and off.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/runner.hh"
+#include "analysis/sampling.hh"
 #include "cpu/ooo_cpu.hh"
 #include "func/func_sim.hh"
 #include "sim/rng.hh"
 #include "sim/thread_pool.hh"
+#include "stats/host_stats.hh"
+#include "telemetry/reg_cache_analyzer.hh"
+#include "trace/debug_flags.hh"
+#include "trace/stats_json.hh"
+#include "wload/asm_builder.hh"
 #include "wload/generator.hh"
 #include "wload/profile.hh"
 
@@ -356,6 +367,338 @@ TEST(CacheProperty, MeasurementJsonRoundTripIsLossless)
         // compares across worker counts).
         EXPECT_EQ(json, analysis::measurementToJson(back));
     }
+}
+
+// ---------------------------------------------------------------------
+// Idle-cycle skipping is transparent (DESIGN.md §5)
+// ---------------------------------------------------------------------
+
+/** Turns idle-cycle skipping off for one scope: the reference run. */
+struct TickEveryCycle
+{
+    TickEveryCycle() { setIdleSkippingForTest(false); }
+    ~TickEveryCycle() { setIdleSkippingForTest(true); }
+};
+
+/** "" when equal, else the first differing line of each. */
+std::string
+firstDiff(const std::string &a, const std::string &b)
+{
+    std::istringstream as(a), bs(b);
+    std::string la, lb;
+    for (unsigned line = 1;; ++line) {
+        const bool ga = static_cast<bool>(std::getline(as, la));
+        const bool gb = static_cast<bool>(std::getline(bs, lb));
+        if (!ga && !gb)
+            return "";
+        if (!ga || !gb || la != lb) {
+            return "line " + std::to_string(line) + ":\n  skipping: " +
+                   (ga ? la : "<end>") + "\n  ticked:   " +
+                   (gb ? lb : "<end>");
+        }
+    }
+}
+
+/** One random-profile program per thread (seeds differ per thread). */
+std::vector<isa::Program>
+randomPrograms(std::uint64_t seed, unsigned threads, bool windowed)
+{
+    std::vector<isa::Program> progs;
+    for (unsigned t = 0; t < threads; ++t) {
+        wload::BenchProfile prof = randomProfile(seed * 16 + t);
+        prof.targetDynInsts = 60'000;
+        progs.push_back(wload::generateProgram(prof, windowed));
+    }
+    return progs;
+}
+
+std::vector<const isa::Program *>
+pointers(const std::vector<isa::Program> &progs)
+{
+    std::vector<const isa::Program *> out;
+    for (const isa::Program &p : progs)
+        out.push_back(&p);
+    return out;
+}
+
+struct SkipCase
+{
+    RenamerKind kind;
+    unsigned threads;
+    unsigned physRegs;
+};
+
+std::string
+label(const SkipCase &c, std::uint64_t seed)
+{
+    return std::string(renamerKindName(c.kind)) + " x" +
+           std::to_string(c.threads) + " @" + std::to_string(c.physRegs) +
+           " seed " + std::to_string(seed);
+}
+
+/**
+ * Every renamer on 1, 2 and 4 threads, at a register count that
+ * operates and (by seed) starves rename. The conventional-window
+ * renamer cannot fit its windows for more than one thread at any size,
+ * so it runs single-threaded only.
+ */
+std::vector<SkipCase>
+skipCases(std::uint64_t seed)
+{
+    std::vector<SkipCase> cases;
+    const unsigned extra = 32u << (seed % 3); // 32, 64 or 128
+    for (unsigned threads : {1u, 2u, 4u}) {
+        cases.push_back({RenamerKind::Baseline, threads,
+                         threads * 64 + extra});
+        cases.push_back({RenamerKind::IdealWindow, threads,
+                         threads * 32 + 64 + extra});
+        cases.push_back({RenamerKind::Vca, threads,
+                         threads * 32 + 32 + extra});
+    }
+    cases.push_back({RenamerKind::ConvWindow, 1, 128 + extra});
+    return cases;
+}
+
+enum class Observer
+{
+    None,
+    DebugFlags,
+    RegCacheAnalyzer,
+};
+
+struct DetailedDump
+{
+    std::string text; ///< stats dump, plus the trace when one is on
+    std::string json; ///< stats JSON of the cpu tree
+    Cycle cycles = 0;
+    Cycle skipped = 0;
+};
+
+/** Warm up, reset, measure (or hit `measureCycles`), dump the stats. */
+DetailedDump
+detailedRun(const std::vector<const isa::Program *> &progs,
+            const SkipCase &c, unsigned statInterval,
+            Observer observer = Observer::None, Cycle measureCycles = 0)
+{
+    CpuParams params = CpuParams::preset(c.kind, c.physRegs, c.threads);
+    params.statSampleInterval = statInterval;
+    OooCpu cpu(params, progs);
+    std::unique_ptr<telemetry::RegCacheAnalyzer> analyzer;
+    if (observer == Observer::RegCacheAnalyzer)
+        analyzer = telemetry::attachRegCacheAnalyzer(cpu);
+    std::ostringstream traceOut;
+    if (observer == Observer::DebugFlags) {
+        trace::setTraceStream(&traceOut);
+        trace::setFlagsFromString("Rename,Fetch");
+    }
+    const bool smt = c.threads > 1;
+    cpu.run(2'000, cycleBudget(2'000), smt);
+    cpu.resetStats();
+    cpu.run(6'000, measureCycles ? measureCycles : cycleBudget(6'000),
+            smt);
+    if (observer == Observer::DebugFlags) {
+        trace::clearAllFlags();
+        trace::setTraceStream(nullptr);
+    }
+
+    DetailedDump d;
+    std::ostringstream text;
+    cpu.dump(text);
+    d.text = text.str() + traceOut.str();
+    std::ostringstream json;
+    {
+        trace::JsonWriter w(json);
+        w.beginObject();
+        trace::writeJsonGroup(cpu, w);
+        w.endObject();
+    }
+    d.json = json.str();
+    d.cycles = cpu.currentCycle();
+    d.skipped = cpu.skippedCycles();
+    return d;
+}
+
+/** Run with skipping on and off; the dumps must be identical. Returns
+ *  the cycles the skipping run skipped. */
+Cycle
+expectTransparent(const std::vector<const isa::Program *> &progs,
+                  const SkipCase &c, const std::string &what,
+                  unsigned statInterval = 1,
+                  Observer observer = Observer::None,
+                  Cycle measureCycles = 0)
+{
+    const DetailedDump on =
+        detailedRun(progs, c, statInterval, observer, measureCycles);
+    DetailedDump off;
+    {
+        TickEveryCycle reference;
+        off = detailedRun(progs, c, statInterval, observer,
+                          measureCycles);
+    }
+    EXPECT_EQ(off.skipped, 0u) << what;
+    EXPECT_EQ(on.cycles, off.cycles) << what;
+    EXPECT_EQ(firstDiff(on.text, off.text), "") << what;
+    EXPECT_EQ(firstDiff(on.json, off.json), "") << what;
+    return on.skipped;
+}
+
+TEST(IdleSkipping, DetailedStatsMatchTickByTick)
+{
+    Cycle skipped = 0;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        for (const SkipCase &c : skipCases(seed)) {
+            const auto progs = randomPrograms(
+                seed, c.threads, c.kind != RenamerKind::Baseline);
+            // Thinned occupancy sampling checks the countdown replay.
+            skipped += expectTransparent(pointers(progs), c,
+                                         label(c, seed),
+                                         seed == 2 ? 7 : 1);
+        }
+    }
+    // Vacuous unless spans were actually skipped.
+    EXPECT_GT(skipped, 0u);
+}
+
+/** Endless loop: a missing load, then 40 instructions that wait on
+ *  it, so the IQ fills with unissued work. */
+isa::Program
+iqFillerProgram()
+{
+    wload::AsmBuilder b;
+    b.li(9, 0x400000);
+    const auto loop = b.newLabel();
+    b.bind(loop);
+    b.ld(8, 9, 0);
+    for (RegIndex i = 0; i < 40; ++i)
+        b.emitR(isa::Opcode::Add, 10 + i % 8, 8, 10 + i % 8);
+    b.addi(9, 9, 4096); // next page: every load misses
+    b.branch(isa::Opcode::Bne, 9, isa::regZero, loop);
+    b.halt();
+    isa::Program p;
+    p.name = "iq_filler";
+    p.code = b.seal();
+    p.finalize();
+    return p;
+}
+
+/** Straight-line nops through a cold icache: each line misses, and
+ *  nops rename without an IQ slot. */
+isa::Program
+coldNopsProgram()
+{
+    wload::AsmBuilder b;
+    for (unsigned i = 0; i < 8'192; ++i)
+        b.nop();
+    b.halt();
+    isa::Program p;
+    p.name = "cold_nops";
+    p.code = b.seal();
+    p.finalize();
+    return p;
+}
+
+TEST(IdleSkipping, SpanEndsBeforeTheRenamePhaseThatReachesANop)
+{
+    // Three threads keep the IQ full; thread 2 waits on the icache
+    // with a nop at its fetch-queue head. Rename rounds starting at an
+    // IQ-bound thread stop there, so the nop renames only in the round
+    // that starts at thread 2: a span must end before that phase even
+    // when the phases before it only stall.
+    const isa::Program filler = iqFillerProgram();
+    const isa::Program nops = coldNopsProgram();
+    const std::vector<const isa::Program *> progs = {&filler, &filler,
+                                                     &nops, &filler};
+    const SkipCase c{RenamerKind::Baseline, 4, 448};
+    EXPECT_GT(expectTransparent(progs, c, "iq-full nop phases"), 0u);
+}
+
+TEST(IdleSkipping, RunsEndingOnTheCycleBudgetMatch)
+{
+    // Memory-bound and SMT: the budget lands inside skipped spans.
+    const auto progs = randomPrograms(4, 2, true);
+    const SkipCase c{RenamerKind::Vca, 2, 160};
+    for (Cycle budget : {1u, 97u, 1'000u, 4'099u}) {
+        const std::string what = "budget " + std::to_string(budget);
+        expectTransparent(pointers(progs), c, what, 3, Observer::None,
+                          budget);
+    }
+}
+
+TEST(IdleSkipping, DebugFlagsTurnSkippingOff)
+{
+    const auto progs = randomPrograms(5, 2, false);
+    const SkipCase c{RenamerKind::Baseline, 2, 192};
+    // The trace is part of the compared text: a skipped span would
+    // drop its per-cycle stall lines.
+    expectTransparent(pointers(progs), c, "debug flags", 1,
+                      Observer::DebugFlags);
+    EXPECT_EQ(detailedRun(pointers(progs), c, 1, Observer::DebugFlags)
+                  .skipped,
+              0u);
+}
+
+TEST(IdleSkipping, RegCacheAnalyzerTurnsSkippingOff)
+{
+    const auto progs = randomPrograms(6, 2, true);
+    const SkipCase c{RenamerKind::Vca, 2, 128};
+    expectTransparent(pointers(progs), c, "reg-cache analyzer", 1,
+                      Observer::RegCacheAnalyzer);
+    // With the probe hooks compiled out the analyzer observes nothing
+    // and skipping stays on.
+    if (core::kTelemetryHooks) {
+        EXPECT_EQ(detailedRun(pointers(progs), c, 1,
+                              Observer::RegCacheAnalyzer)
+                      .skipped,
+                  0u);
+    }
+}
+
+TEST(IdleSkipping, SampledStatsMatchTickByTick)
+{
+    // Sampled mode switches a fresh core in per sample; its skipped
+    // cycles feed host.sim_cycles_skipped.
+    const stats::HostStats &host = stats::HostStats::global();
+    double skipped = 0;
+    for (const SkipCase &c : skipCases(2)) {
+        const auto progs = randomPrograms(
+            7, c.threads, c.kind != RenamerKind::Baseline);
+        analysis::RunOptions opts;
+        opts.mode = analysis::SimMode::Sampled;
+        opts.numThreads = c.threads;
+        opts.stopOnFirstThread = c.threads > 1;
+        opts.warmupInsts = 3'000;
+        opts.samplePeriodInsts = 12'000;
+        opts.sampleQuantumInsts = 1'000;
+        opts.sampleDetailWarmInsts = 500;
+
+        const double before = host.simCyclesSkipped.value();
+        const analysis::Measurement on =
+            analysis::runTiming(pointers(progs), c.kind, c.physRegs, opts);
+        skipped += host.simCyclesSkipped.value() - before;
+        analysis::Measurement off;
+        {
+            TickEveryCycle reference;
+            const double mark = host.simCyclesSkipped.value();
+            off = analysis::runTiming(pointers(progs), c.kind,
+                                      c.physRegs, opts);
+            EXPECT_EQ(host.simCyclesSkipped.value(), mark);
+        }
+        const std::string what = label(c, 7);
+        ASSERT_TRUE(on.ok) << what << ": " << on.error;
+        EXPECT_GT(on.sampling.samples, 0u) << what;
+        EXPECT_EQ(firstDiff(analysis::measurementToJson(on),
+                            analysis::measurementToJson(off)),
+                  "")
+            << what;
+        analysis::SamplingStats onStats, offStats;
+        onStats.populate(on);
+        offStats.populate(off);
+        std::ostringstream onText, offText;
+        onStats.dump(onText);
+        offStats.dump(offText);
+        EXPECT_EQ(firstDiff(onText.str(), offText.str()), "") << what;
+    }
+    EXPECT_GT(skipped, 0);
 }
 
 } // namespace

@@ -35,6 +35,7 @@
 #include "sim/fault_inject.hh"
 #include "sim/logging.hh"
 #include "sim/thread_pool.hh"
+#include "stats/host_stats.hh"
 
 using namespace vca;
 using namespace vca::analysis;
@@ -477,16 +478,24 @@ referenceSweep(const std::vector<SweepPoint> &points)
 TEST(RobustRunner, IsolatedSweepMatchesInProcess)
 {
     const auto points = smallSweep();
+    const stats::HostStats &host = stats::HostStats::global();
+    const double skipped0 = host.simCyclesSkipped.value();
     const auto ref = referenceSweep(points);
+    const double refSkipped = host.simCyclesSkipped.value() - skipped0;
 
     SweepConfig cfg;
     cfg.cacheDir.clear();
     cfg.jobs = 1;
     cfg.robust.isolate = true;
     SweepRunner runner(cfg);
+    const double skipped1 = host.simCyclesSkipped.value();
     EXPECT_EQ(runner.run(points), ref)
         << "forked execution must be bit-identical to in-process";
     EXPECT_EQ(runner.lastFailures().size(), 0u);
+    // Skipped cycles are deterministic and travel back from the
+    // workers with the rest of the host accounting.
+    EXPECT_GT(refSkipped, 0);
+    EXPECT_EQ(host.simCyclesSkipped.value() - skipped1, refSkipped);
 }
 
 TEST(RobustRunner, CrashedWorkersRetryToSuccess)

@@ -84,6 +84,30 @@ TEST(Options, UsageListsEverything)
     EXPECT_NE(u.find("the beta knob"), std::string::npos);
 }
 
+TEST(Options, GetU64RejectsWhatStrtoullWouldBend)
+{
+    const char *bad[] = {"abc", "-1", "+5", "", "12x", " 7",
+                         "18446744073709551616"};
+    for (const char *value : bad) {
+        Options o;
+        o.add("insts", "1", "");
+        const std::string arg = std::string("--insts=") + value;
+        const char *argv[] = {"prog", arg.c_str()};
+        ASSERT_TRUE(o.parse(2, argv));
+        try {
+            o.getU64("insts");
+            ADD_FAILURE() << "accepted '" << value << "'";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("--insts="),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    Options o;
+    o.add("insts", "18446744073709551615", "");
+    EXPECT_EQ(o.getU64("insts"), UINT64_MAX);
+}
+
 TEST(Options, UnregisteredGetPanics)
 {
     Options o;

@@ -61,10 +61,8 @@ renderLane(const trace::PipeRecord &rec, unsigned width)
     return lane;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+pipeviewMain(int argc, char **argv)
 {
     Options opts;
     opts.add("width", "48",
@@ -148,4 +146,18 @@ main(int argc, char **argv)
     std::printf("%llu instructions rendered\n",
                 (unsigned long long)shown);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A malformed integer flag raises FatalError: exit 2 naming it.
+    try {
+        return pipeviewMain(argc, argv);
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 2;
+    }
 }

@@ -364,9 +364,10 @@ simMain(int argc, char **argv)
         const auto &host = stats::HostStats::global();
         if (host.simRuns.value() > 0) {
             std::printf("host: seconds=%.3f mips=%.3f "
-                        "cycles_per_sec=%.0f runs=%.0f\n",
+                        "cycles_per_sec=%.0f runs=%.0f skipped=%.0f\n",
                         host.simSeconds.value(), host.simMips.value(),
-                        host.cyclesPerSec.value(), host.simRuns.value());
+                        host.cyclesPerSec.value(), host.simRuns.value(),
+                        host.simCyclesSkipped.value());
         }
         // Zero in every detailed sweep, so detailed output is
         // byte-identical to earlier releases.
@@ -442,6 +443,7 @@ simMain(int argc, char **argv)
         const double sec0 = host.simSeconds.value();
         const double insts0 = host.simInsts.value();
         const double cycles0 = host.simCycles.value();
+        const double skipped0 = host.simCyclesSkipped.value();
         const double fsec0 = host.funcSeconds.value();
         const double finsts0 = host.funcInsts.value();
         const auto m = analysis::runTiming(
@@ -507,12 +509,13 @@ simMain(int argc, char **argv)
         const double dsec = host.simSeconds.value() - sec0;
         const double dinsts = host.simInsts.value() - insts0;
         const double dcycles = host.simCycles.value() - cycles0;
+        const double dskipped = host.simCyclesSkipped.value() - skipped0;
         std::printf("func: seconds=%.3f insts=%.0f mips=%.3f\n", fsec,
                     finsts, fsec > 0 ? finsts / fsec / 1e6 : 0.0);
         std::printf("host: seconds=%.3f mips=%.3f "
-                    "cycles_per_sec=%.0f\n",
+                    "cycles_per_sec=%.0f skipped=%.0f\n",
                     dsec, dsec > 0 ? dinsts / dsec / 1e6 : 0.0,
-                    dsec > 0 ? dcycles / dsec : 0.0);
+                    dsec > 0 ? dcycles / dsec : 0.0, dskipped);
         analysis::SamplingStats samplingStats;
         samplingStats.populate(m);
         if (opts.getBool("stats")) {
@@ -607,13 +610,21 @@ simMain(int argc, char **argv)
     params.vcaDeadValueHints = opts.getBool("dead-hints");
     params.statSampleInterval =
         static_cast<unsigned>(opts.getU64("stat-sample-interval"));
+    // Read every count before simulating, so a malformed one exits
+    // with its flag named instead of as a configuration failure.
+    const InstCount warmup = opts.getU64("warmup");
+    const InstCount insts = opts.getU64("insts");
+    const std::uint64_t traceInsts = opts.getU64("trace");
+    const std::uint64_t pipeviewInsts = opts.getU64("pipeview-insts");
+    const std::uint64_t chromeInsts = opts.getU64("chrome-trace-insts");
+    const std::uint64_t intervalInsts = opts.getU64("interval");
 
     try {
         const auto hostStart = std::chrono::steady_clock::now();
         cpu::OooCpu cpu(params, programs);
-        if (opts.getU64("trace") > 0) {
+        if (traceInsts > 0) {
             cpu::TraceOptions traceOpts;
-            traceOpts.maxInsts = opts.getU64("trace");
+            traceOpts.maxInsts = traceInsts;
             cpu::attachCommitTracer(cpu, std::cout, traceOpts);
         }
         std::ofstream pipeFile;
@@ -623,7 +634,7 @@ simMain(int argc, char **argv)
                 fatal("cannot open --pipeview '%s'",
                       opts.get("pipeview").c_str());
             cpu::attachPipeTracer(cpu, pipeFile,
-                                  opts.getU64("pipeview-insts"),
+                                  pipeviewInsts,
                                   opts.getBool("pipeview-instants"));
         }
         std::unique_ptr<telemetry::ChromeTraceWriter> chromeWriter;
@@ -631,7 +642,7 @@ simMain(int argc, char **argv)
             chromeWriter = std::make_unique<telemetry::ChromeTraceWriter>(
                 opts.get("chrome-trace"));
             telemetry::ChromeSimTraceOptions simTraceOpts;
-            simTraceOpts.maxInsts = opts.getU64("chrome-trace-insts");
+            simTraceOpts.maxInsts = chromeInsts;
             telemetry::attachChromeSimTracer(cpu, *chromeWriter,
                                              simTraceOpts);
         }
@@ -643,11 +654,9 @@ simMain(int argc, char **argv)
                      "register cache to analyze",
                      cpu::renamerKindName(kind));
         }
-        const InstCount warmup = opts.getU64("warmup");
-        const InstCount insts = opts.getU64("insts");
         double warmupCommitted = 0;
         if (warmup) {
-            cpu.run(warmup, warmup * 200 + 100'000,
+            cpu.run(warmup, cpu::cycleBudget(warmup),
                     programs.size() > 1);
             warmupCommitted = cpu.committedTotal.value();
             cpu.resetStats();
@@ -655,9 +664,9 @@ simMain(int argc, char **argv)
         // The interval recorder attaches after warm-up so interval 0
         // starts at the measured region's first commit.
         std::unique_ptr<trace::IntervalRecorder> intervals;
-        if (opts.getU64("interval") > 0) {
+        if (intervalInsts > 0) {
             intervals = std::make_unique<trace::IntervalRecorder>(
-                opts.getU64("interval"));
+                intervalInsts);
             intervals->addProbe("dcache_accesses", [&cpu] {
                 return cpu.memSystem().dcache().accesses.value();
             });
@@ -685,7 +694,7 @@ simMain(int argc, char **argv)
                 intervals->onCommit(cpu.currentCycle());
             });
         }
-        const auto res = cpu.run(insts, insts * 200 + 100'000,
+        const auto res = cpu.run(insts, cpu::cycleBudget(insts),
                                  programs.size() > 1);
         const std::chrono::duration<double> hostElapsed =
             std::chrono::steady_clock::now() - hostStart;
@@ -697,7 +706,8 @@ simMain(int argc, char **argv)
         stats::HostStats hostStats;
         hostStats.record(hostElapsed.count(),
                          warmupCommitted + cpu.committedTotal.value(),
-                         static_cast<double>(cpu.currentCycle()));
+                         static_cast<double>(cpu.currentCycle()),
+                         static_cast<double>(cpu.skippedCycles()));
 
         if (chromeWriter) {
             // One host-time lane so the simulated tracks have a
@@ -738,10 +748,12 @@ simMain(int argc, char **argv)
                         100 * ca.windowShift.value() / cyc,
                         100 * ca.frontendStall.value() / cyc);
         }
-        std::printf("host: seconds=%.3f mips=%.3f cycles_per_sec=%.0f\n",
+        std::printf("host: seconds=%.3f mips=%.3f cycles_per_sec=%.0f "
+                    "skipped=%.0f\n",
                     hostStats.simSeconds.value(),
                     hostStats.simMips.value(),
-                    hostStats.cyclesPerSec.value());
+                    hostStats.cyclesPerSec.value(),
+                    hostStats.simCyclesSkipped.value());
         if (opts.getBool("stats")) {
             std::printf("\n-- statistics --\n");
             std::ostringstream os;
