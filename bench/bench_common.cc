@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <fstream>
 
-#include "analysis/explain.hh"
 #include "stats/host_stats.hh"
 #include "trace/json.hh"
 #include "trace/stats_json.hh"
@@ -274,29 +273,6 @@ regCacheSummary()
     return summary;
 }
 
-/**
- * Commit-stall attribution of the reference VCA configuration
- * (crafty @ 192 physical registers), exported into every
- * BENCH_*.json as absolute per-leaf cycles. Runs through the
- * shared sweep cache — the same point the figure benches already
- * measure — so it is normally a pure cache hit. perf_compare.py
- * diffs the block across base/candidate runs and a regression
- * report names the leaves whose cycles moved (its top-3 causes).
- */
-const analysis::ExplainInput &
-cycleTaxonomySummary()
-{
-    static const analysis::ExplainInput input = [] {
-        const analysis::Measurement m =
-            analysis::SweepRunner::global().runPoint(
-                analysis::makePoint("crafty", cpu::RenamerKind::Vca,
-                                    192, defaultOptions()));
-        return analysis::explainInputFromMeasurement(
-            "reference", "bench=crafty arch=vca regs=192", m);
-    }();
-    return input;
-}
-
 } // namespace
 
 void
@@ -349,7 +325,7 @@ writeSeriesJson(const std::string &slug,
     w.key("bench").string(slug);
     // Written only for non-detailed runs so detailed exports keep
     // their historical shape; readers default a missing field to
-    // "detailed" (perf_compare.py keys host-MIPS blocks by mode).
+    // "detailed".
     if (const analysis::RunOptions opts = defaultOptions();
         opts.mode != analysis::SimMode::Detailed)
         w.key("mode").string(analysis::simModeName(opts.mode));
@@ -407,26 +383,10 @@ writeSeriesJson(const std::string &slug,
         w.key("shadow_hits").number(rc.shadowHits);
         w.endObject();
     }
-    // Commit-stall attribution of the reference VCA configuration,
-    // in absolute cycles, for differential regression explanation.
-    if (const analysis::ExplainInput &tax = cycleTaxonomySummary();
-        tax.cycles > 0) {
-        w.key("cycle_taxonomy").beginObject();
-        w.key("arch").string("vca");
-        w.key("bench").string("crafty");
-        w.key("phys_regs").number(std::uint64_t(192));
-        w.key("cycles").number(tax.cycles);
-        w.key("insts").number(tax.insts);
-        w.key("leaves").beginObject();
-        for (const auto &[name, cycles] : tax.leaves)
-            w.key(name).number(cycles);
-        w.endObject();
-        w.endObject();
-    }
     // Per-point infrastructure failures accumulated by this process —
     // present only on degraded runs, so a clean export stays
-    // byte-identical. perf_compare.py refuses to draw performance
-    // conclusions from a document carrying failures.
+    // byte-identical. A document carrying failures says its host
+    // numbers are not comparable.
     if (const auto failures =
             analysis::SweepRunner::global().allFailures();
         !failures.empty()) {
@@ -440,9 +400,8 @@ writeSeriesJson(const std::string &slug,
         }
         w.endArray();
     }
-    // Host-throughput trajectory: cumulative detailed-simulation cost
-    // at the moment this bench's JSON is written (perf_compare.py
-    // diffs the sim_mips field across runs).
+    // Host throughput: cumulative detailed-simulation cost at the
+    // moment this bench's JSON is written.
     trace::writeJsonGroup(stats::HostStats::global(), w);
     w.endObject();
     os << '\n';

@@ -24,14 +24,22 @@
 #include "analysis/runner.hh"
 #include "analysis/workloads.hh"
 #include "sim/logging.hh"
+#include "sim/options.hh"
 
 namespace vca::bench {
 
+/** An unsigned-integer environment knob: fallback when unset or
+ *  empty, and (with a warning) when it does not parse. */
 inline std::uint64_t
 envU64(const char *name, std::uint64_t fallback)
 {
     const char *v = std::getenv(name);
-    return v ? std::strtoull(v, nullptr, 10) : fallback;
+    if (!v || !*v)
+        return fallback;
+    if (const auto n = parseU64(v))
+        return *n;
+    warn("ignoring %s='%s' (want an unsigned integer)", name, v);
+    return fallback;
 }
 
 inline analysis::RunOptions

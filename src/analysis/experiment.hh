@@ -102,7 +102,7 @@ struct RunOptions
      * for the measured interval. The shadow models are pure observers
      * — simulated numbers are bit-identical either way — but such
      * runs skip host-MIPS accounting so observation never pollutes
-     * the performance trajectory scripts/perf_compare.py tracks.
+     * the host-throughput numbers.
      */
     bool regTelemetry = false;
     /** Execution mode. SimPoint mode interprets warmupInsts as the

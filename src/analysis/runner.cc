@@ -22,6 +22,7 @@
 
 #include "sim/fault_inject.hh"
 #include "sim/logging.hh"
+#include "sim/options.hh"
 #include "sim/thread_pool.hh"
 #include "stats/host_stats.hh"
 #include "telemetry/chrome_trace.hh"
@@ -188,13 +189,10 @@ RobustConfig::fromEnv()
 bool
 RobustConfig::parseRetries(const char *text, unsigned &out)
 {
-    // Digits only: strtoul would read "-1" as ULONG_MAX.
-    if (!*text || std::strspn(text, "0123456789") != std::strlen(text))
-        return false;
-    const unsigned long long n = std::strtoull(text, nullptr, 10);
-    if (n >= std::numeric_limits<unsigned>::max())
+    const auto n = parseU64(text);
+    if (!n || *n >= std::numeric_limits<unsigned>::max())
         return false; // retries + 1 attempts would wrap to 0
-    out = static_cast<unsigned>(n);
+    out = static_cast<unsigned>(*n);
     return true;
 }
 
@@ -413,12 +411,6 @@ measurementFromJson(const std::string &text)
 // ResultCache
 // ---------------------------------------------------------------------
 
-ResultCache::ResultCache(std::string dir) : dir_(std::move(dir))
-{
-    const char *v = std::getenv("VCA_CACHE_VERIFY");
-    verify_ = !(v && std::strcmp(v, "0") == 0);
-}
-
 std::string
 ResultCache::defaultDir()
 {
@@ -525,8 +517,7 @@ ResultCache::load(const SweepPoint &point, Measurement &out) const
         // doubles round-trip losslessly, so any byte that made it
         // through the parser but differs from what store() wrote
         // changes the sum.
-        if (verify_ &&
-            sum->asString() != hashHex(fnv1a(measurementToJson(m)))) {
+        if (sum->asString() != hashHex(fnv1a(measurementToJson(m)))) {
             quarantineEntry(path, "checksum");
             return false;
         }
@@ -638,6 +629,10 @@ SweepRunner::SweepRunner(const SweepConfig &config)
       config_(config),
       cache_(config.cacheDir)
 {
+    // Parse VCA_FAULT_INJECT on the constructing thread. Parsed first
+    // inside a pool job (a cache store), a malformed spec's FatalError
+    // would be swallowed by the pool and the sweep would wait forever.
+    FaultInjector::global();
     if (config_.jobs) {
         ownedPool_ = std::make_unique<ThreadPool>(config_.jobs);
         pool_ = ownedPool_.get();

@@ -42,7 +42,6 @@
  *                   (default ".vca-cache")
  *   VCA_SWEEP_STATS print a per-batch hit/miss/throughput summary to
  *                   stderr when set and non-empty
- *   VCA_CACHE_VERIFY  0 skips checksum verification on load (default 1)
  *   VCA_ISOLATE     1 forks one child per simulated point
  *   VCA_POINT_TIMEOUT  per-point deadline in seconds (isolate mode;
  *                   0 = none)
@@ -63,6 +62,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/experiment.hh"
@@ -144,7 +144,7 @@ struct RobustConfig
     unsigned retries = 2;
 
     static RobustConfig fromEnv();
-    /** Parse VCA_RETRIES / --retries: digits only, and retries + 1
+    /** Parse VCA_RETRIES / --retries with parseU64(); retries + 1
      *  must fit in unsigned. False (out untouched) otherwise. */
     static bool parseRetries(const char *text, unsigned &out);
     /** Parse VCA_POINT_TIMEOUT / --point-timeout: finite seconds >= 0
@@ -177,7 +177,7 @@ struct PointFailure
 class ResultCache
 {
   public:
-    explicit ResultCache(std::string dir);
+    explicit ResultCache(std::string dir) : dir_(std::move(dir)) {}
 
     ResultCache(const ResultCache &) = delete;
     ResultCache &operator=(const ResultCache &) = delete;
@@ -223,7 +223,6 @@ class ResultCache
     void noteWriteError(const std::string &what) const;
 
     std::string dir_;
-    bool verify_ = true; ///< checksum entries on load (VCA_CACHE_VERIFY)
 
     mutable std::atomic<std::uint64_t> quarantined_{0};
     mutable std::atomic<std::uint64_t> writeErrors_{0};

@@ -10,11 +10,10 @@
  * sampling, burst histograms live in src/telemetry/).
  *
  * Cost discipline: every call site in the renamer is guarded by the
- * VCA_TELEMETRY_PROBE macro — a single null-pointer test when
- * telemetry is compiled in and nothing at all under -DVCA_NTELEMETRY
- * (mirroring VCA_NTRACE for DPRINTF). The same switch removes the
- * pipeline's sim-event emission (kTelemetryHooks); the cycle
- * taxonomy is not telemetry and is always maintained.
+ * VCA_TELEMETRY_PROBE macro, a single null-pointer test on a cold
+ * path: cheap enough that the hooks are always compiled in (DESIGN
+ * §4.1). The cycle taxonomy is not telemetry and is always
+ * maintained.
  */
 
 #ifndef VCA_CORE_REG_CACHE_PROBE_HH
@@ -23,13 +22,6 @@
 #include "sim/types.hh"
 
 namespace vca::core {
-
-/** False when -DVCA_NTELEMETRY compiles the telemetry hooks out. */
-#ifndef VCA_NTELEMETRY
-inline constexpr bool kTelemetryHooks = true;
-#else
-inline constexpr bool kTelemetryHooks = false;
-#endif
 
 class RegCacheProbe
 {
@@ -54,16 +46,10 @@ class RegCacheProbe
 
 } // namespace vca::core
 
-#ifndef VCA_NTELEMETRY
 #define VCA_TELEMETRY_PROBE(probe, call)                                \
     do {                                                                \
         if (probe)                                                      \
             (probe)->call;                                              \
     } while (0)
-#else
-#define VCA_TELEMETRY_PROBE(probe, call)                                \
-    do {                                                                \
-    } while (0)
-#endif
 
 #endif // VCA_CORE_REG_CACHE_PROBE_HH

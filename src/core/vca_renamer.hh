@@ -78,29 +78,16 @@ class VcaRenamer : public cpu::Renamer
 
     /**
      * Attach (or detach, with nullptr) a telemetry probe observing the
-     * register-cache access stream. Not owned. Compiled out entirely
-     * under VCA_NTELEMETRY; when compiled in but detached the cost is
+     * register-cache access stream. Not owned. Detached, the cost is
      * one predictable branch per observed event.
      */
-    void
-    attachProbe(RegCacheProbe *probe)
-    {
-#ifndef VCA_NTELEMETRY
-        probe_ = probe;
-#else
-        (void)probe;
-#endif
-    }
+    void attachProbe(RegCacheProbe *probe) { probe_ = probe; }
 
     // An attached probe samples occupancy in beginCycle().
     bool
     observesEveryCycle() const override
     {
-#ifndef VCA_NTELEMETRY
         return probe_ != nullptr;
-#else
-        return false;
-#endif
     }
 
     // Statistics.
@@ -172,9 +159,7 @@ class VcaRenamer : public cpu::Renamer
     // free-list-class pressure); read by the pipeline on refusal.
     StallCause lastStall_ = StallCause::FreeList;
 
-#ifndef VCA_NTELEMETRY
     RegCacheProbe *probe_ = nullptr;
-#endif
 };
 
 } // namespace vca::core

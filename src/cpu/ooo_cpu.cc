@@ -450,10 +450,8 @@ OooCpu::executeInst(DynInst *inst)
     switch (si.op) {
       case Opcode::Add:  r = a + b; break;
       case Opcode::Sub:  r = a - b; break;
-      case Opcode::Mul:
-        r = static_cast<std::uint64_t>(static_cast<std::int64_t>(a) *
-                                       static_cast<std::int64_t>(b));
-        break;
+      // Wraps like the functional model's multiply (no signed UB).
+      case Opcode::Mul:  r = a * b; break;
       case Opcode::Div:
         r = static_cast<std::uint64_t>(
             safeDiv(static_cast<std::int64_t>(a),

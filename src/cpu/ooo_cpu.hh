@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "bpred/bpred.hh"
-#include "core/reg_cache_probe.hh"
 #include "cpu/dyn_inst.hh"
 #include "cpu/params.hh"
 #include "cpu/phys_regfile.hh"
@@ -516,7 +515,7 @@ class OooCpu : public stats::StatGroup
     void
     emitSimEvent(SimEvent::Kind kind, ThreadId tid, Addr addr)
     {
-        if (!core::kTelemetryHooks || simEventListeners_.empty())
+        if (simEventListeners_.empty())
             return;
         const SimEvent ev{kind, tid, now_, addr};
         for (const auto &listener : simEventListeners_)

@@ -160,12 +160,9 @@ FuncSim::execInst(const isa::StaticInst &si, StepRecord *rec)
 
       case Opcode::Add:  result = opnd(0) + opnd(1); wrote = true; break;
       case Opcode::Sub:  result = opnd(0) - opnd(1); wrote = true; break;
-      case Opcode::Mul:
-        result = static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(opnd(0)) *
-            static_cast<std::int64_t>(opnd(1)));
-        wrote = true;
-        break;
+      // Unsigned, so an overflowing product wraps instead of being
+      // undefined; the low 64 bits equal the signed product's.
+      case Opcode::Mul:  result = opnd(0) * opnd(1); wrote = true; break;
       case Opcode::Div:
         result = static_cast<std::uint64_t>(
             safeDiv(static_cast<std::int64_t>(opnd(0)),

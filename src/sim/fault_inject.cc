@@ -2,9 +2,11 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 
 #include "sim/logging.hh"
+#include "sim/options.hh"
 
 namespace vca {
 
@@ -66,22 +68,19 @@ FaultInjector::parse(const std::string &spec)
                   item.c_str());
         const std::string key = item.substr(0, eq);
         const std::string value = item.substr(eq + 1);
-        char *rest = nullptr;
         if (key == "seed") {
-            fi.seed_ = std::strtoull(value.c_str(), &rest, 10);
-            if (!rest || *rest)
+            const auto n = parseU64(value);
+            if (!n)
                 fatal("VCA_FAULT_INJECT: bad seed '%s'", value.c_str());
-            if (fi.seed_ == 0)
-                fi.seed_ = 1;
+            fi.seed_ = *n ? *n : 1;
             continue;
         }
         if (key == "attempts") {
-            const unsigned long n =
-                std::strtoul(value.c_str(), &rest, 10);
-            if (!rest || *rest || n == 0)
+            const auto n = parseU64(value);
+            if (!n || *n == 0 || *n > std::numeric_limits<unsigned>::max())
                 fatal("VCA_FAULT_INJECT: bad attempts '%s'",
                       value.c_str());
-            fi.maxAttempts_ = static_cast<unsigned>(n);
+            fi.maxAttempts_ = static_cast<unsigned>(*n);
             continue;
         }
         int site = -1;
@@ -91,6 +90,7 @@ FaultInjector::parse(const std::string &spec)
         if (site < 0)
             fatal("VCA_FAULT_INJECT: unknown key '%s' (seed, attempts, "
                   "crash, hang, corrupt, writefail)", key.c_str());
+        char *rest = nullptr;
         const double p = std::strtod(value.c_str(), &rest);
         if (!rest || *rest || !(p >= 0.0 && p <= 1.0))
             fatal("VCA_FAULT_INJECT: %s probability '%s' not in [0,1]",

@@ -1,12 +1,25 @@
 #include "sim/options.hh"
 
-#include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <sstream>
 
 #include "sim/logging.hh"
 
 namespace vca {
+
+std::optional<std::uint64_t>
+parseU64(std::string_view text)
+{
+    // from_chars on an unsigned type takes digits only: no sign, no
+    // leading space, and out-of-range instead of wrapping.
+    std::uint64_t n = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, n);
+    if (ec != std::errc() || ptr != end)
+        return std::nullopt;
+    return n;
+}
 
 void
 Options::add(const std::string &name, const std::string &defaultValue,
@@ -92,20 +105,11 @@ Options::get(const std::string &name) const
 std::uint64_t
 Options::getU64(const std::string &name) const
 {
-    // strtoull alone accepts a sign ("-1" wraps to 2^64-1), stops at
-    // the first non-digit ("abc" reads as 0) and saturates on
-    // overflow; demand plain decimal digits that fit instead.
     const std::string v = get(name);
-    errno = 0;
-    const bool digits = !v.empty() &&
-        v.find_first_not_of("0123456789") == std::string::npos;
-    const std::uint64_t n = digits ? std::strtoull(v.c_str(), nullptr, 10)
-                                   : 0;
-    if (!digits || errno == ERANGE) {
-        fatal("invalid --%s='%s' (want an unsigned integer)",
-              name.c_str(), v.c_str());
-    }
-    return n;
+    if (const auto n = parseU64(v))
+        return *n;
+    fatal("invalid --%s='%s' (want an unsigned integer)", name.c_str(),
+          v.c_str());
 }
 
 double

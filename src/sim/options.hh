@@ -12,10 +12,21 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace vca {
+
+/**
+ * Parse an unsigned decimal integer: one or more digits and nothing
+ * else (no sign, space or base prefix) that fits in 64 bits; nullopt
+ * otherwise. Every unsigned integer the simulator reads from a flag,
+ * an environment variable or a spec string goes through here, so
+ * "-1" never wraps and "4x" or "abc" never reads as a number.
+ */
+std::optional<std::uint64_t> parseU64(std::string_view text);
 
 class Options
 {
@@ -31,8 +42,8 @@ class Options
     bool parse(int argc, const char *const *argv);
 
     std::string get(const std::string &name) const;
-    /** The value as an unsigned decimal; fatal() (FatalError) naming
-     *  the flag on a sign, any non-digit, or overflow. */
+    /** The value through parseU64(); fatal() (FatalError) naming the
+     *  flag when it is not an unsigned decimal. */
     std::uint64_t getU64(const std::string &name) const;
     double getDouble(const std::string &name) const;
     bool getBool(const std::string &name) const;

@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "sim/logging.hh"
+#include "sim/options.hh"
 
 namespace vca {
 
@@ -50,11 +51,14 @@ ThreadPool::~ThreadPool()
 unsigned
 ThreadPool::defaultThreads()
 {
+    // A worker is an OS thread: cap the count well below what could
+    // exhaust the process's thread limit.
+    constexpr std::uint64_t kMaxJobs = 1024;
     if (const char *env = std::getenv("VCA_JOBS")) {
-        const unsigned long v = std::strtoul(env, nullptr, 10);
-        if (v >= 1)
-            return static_cast<unsigned>(v);
-        warn("ignoring VCA_JOBS='%s' (want an integer >= 1)", env);
+        if (const auto v = parseU64(env); v && *v >= 1 && *v <= kMaxJobs)
+            return static_cast<unsigned>(*v);
+        warn("ignoring VCA_JOBS='%s' (want an integer in 1..%u)", env,
+             static_cast<unsigned>(kMaxJobs));
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;

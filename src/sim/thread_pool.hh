@@ -20,8 +20,8 @@
  * care about the error should still catch it themselves and report a
  * structured failure, the way the sweep runner does.
  *
- * The default worker count comes from VCA_JOBS when set (clamped to at
- * least 1), otherwise std::thread::hardware_concurrency().
+ * The default worker count comes from VCA_JOBS when it is an integer
+ * in 1..1024, otherwise std::thread::hardware_concurrency().
  */
 
 #ifndef VCA_SIM_THREAD_POOL_HH
@@ -70,7 +70,8 @@ class ThreadPool
         return static_cast<unsigned>(workers_.size());
     }
 
-    /** VCA_JOBS when set (>=1), else hardware_concurrency(). */
+    /** VCA_JOBS when it is an integer in 1..1024 (parseU64), else
+     *  hardware_concurrency(); a bad value is warned about. */
     static unsigned defaultThreads();
 
     /** Process-wide pool built on first use with defaultThreads(). */

@@ -8,9 +8,8 @@
  * the wall-clock spent inside detailed simulation and the simulated
  * instructions/cycles covered, and derives simulated MIPS and
  * cycles-per-second. runTiming() accumulates into a process-wide
- * instance (the benches export it into BENCH_*.json for the perf
- * trajectory; scripts/perf_compare.py diffs two exports); vca-sim
- * keeps a local instance for its single-run report.
+ * instance (the benches export it into BENCH_*.json); vca-sim keeps
+ * a local instance for its single-run report.
  *
  * record() is thread-safe: sweep points run concurrently on the
  * worker pool and each contributes its own simulation interval. The

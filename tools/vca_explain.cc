@@ -32,13 +32,16 @@
  */
 
 #include <cstdio>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "analysis/explain.hh"
 #include "analysis/runner.hh"
 #include "sim/logging.hh"
+#include "sim/options.hh"
 
 namespace {
 
@@ -108,28 +111,36 @@ parseSpecPoint(const std::string &spec, std::string &config)
                        "(expected key=value)", field.c_str());
         const std::string key = field.substr(0, eq);
         const std::string val = field.substr(eq + 1);
+        const auto number = [&](std::uint64_t max) {
+            const auto n = parseU64(val);
+            if (!n || *n > max)
+                fatal("vca-explain: bad --spec %s='%s' (want an "
+                      "unsigned integer)", key.c_str(), val.c_str());
+            return *n;
+        };
         if (key == "bench")
             bench = val;
         else if (key == "arch")
             arch = val;
         else if (key == "regs")
-            regs = static_cast<unsigned>(std::stoul(val));
+            regs = static_cast<unsigned>(
+                number(std::numeric_limits<unsigned>::max()));
         else if (key == "insts")
-            opts.measureInsts = std::stoull(val);
+            opts.measureInsts = number(UINT64_MAX);
         else if (key == "warmup")
-            opts.warmupInsts = std::stoull(val);
+            opts.warmupInsts = number(UINT64_MAX);
         else if (key == "mode") {
             if (!analysis::parseSimMode(val, opts.mode))
                 fatal("vca-explain: unknown mode '%s' "
                            "(detailed|simpoint|sampled)", val.c_str());
         } else if (key == "period")
-            opts.samplePeriodInsts = std::stoull(val);
+            opts.samplePeriodInsts = number(UINT64_MAX);
         else if (key == "quantum")
-            opts.sampleQuantumInsts = std::stoull(val);
+            opts.sampleQuantumInsts = number(UINT64_MAX);
         else if (key == "fwarm")
-            opts.sampleFuncWarmInsts = std::stoull(val);
+            opts.sampleFuncWarmInsts = number(UINT64_MAX);
         else if (key == "dwarm")
-            opts.sampleDetailWarmInsts = std::stoull(val);
+            opts.sampleDetailWarmInsts = number(UINT64_MAX);
         else
             fatal("vca-explain: unknown --spec key '%s'",
                        key.c_str());
@@ -249,6 +260,17 @@ main(int argc, char **argv)
             usage(stderr);
             return 2;
         }
+    }
+
+    // A malformed --spec is a usage error: parse every one up front.
+    try {
+        std::string config;
+        for (const auto &[kind, value] : inputs)
+            if (kind == 's')
+                parseSpecPoint(value, config);
+    } catch (const vca::FatalError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
     }
 
     if (selftest) {

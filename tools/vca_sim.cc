@@ -30,6 +30,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -243,10 +244,13 @@ simMain(int argc, char **argv)
     // sweep runner, memoized on disk, instead of the single-run path.
     if (!opts.get("sweep-regs").empty()) {
         std::vector<unsigned> sizes;
-        for (const std::string &s : splitCommas(opts.get("sweep-regs")))
-            sizes.push_back(
-                static_cast<unsigned>(std::strtoul(s.c_str(), nullptr,
-                                                   10)));
+        for (const std::string &s : splitCommas(opts.get("sweep-regs"))) {
+            const auto n = parseU64(s);
+            if (!n || *n > std::numeric_limits<unsigned>::max())
+                fatal("invalid --sweep-regs entry '%s' (want an unsigned "
+                      "integer)", s.c_str());
+            sizes.push_back(static_cast<unsigned>(*n));
+        }
         std::vector<cpu::RenamerKind> archs;
         if (opts.get("arch") == "all") {
             archs = {cpu::RenamerKind::Baseline,
