@@ -21,6 +21,11 @@
  * change so stale sweep caches are invalidated too; the golden file
  * records the tag and these tests refuse to compare across versions.
  *
+ * Golden.PathLengths pins every bundled profile's complete-program
+ * path length and load+store count under both ABIs
+ * (tests/golden/path_lengths.json, refreshed the same way). These
+ * come from the functional model alone, so they carry no version tag.
+ *
  * The Determinism test reruns the same sweep at 1 and at 8 worker
  * threads and requires bit-identical Measurements — the guarantee that
  * makes VCA_JOBS a pure performance knob.
@@ -34,8 +39,10 @@
 #include <string>
 #include <vector>
 
+#include "analysis/experiment.hh"
 #include "analysis/runner.hh"
 #include "trace/json.hh"
+#include "wload/profile.hh"
 
 using namespace vca;
 
@@ -132,6 +139,12 @@ writeGoldens(const std::vector<analysis::SweepPoint> &points,
     os << '\n';
 }
 
+std::string
+pathLengthsPath()
+{
+    return std::string(VCA_GOLDEN_DIR) + "/path_lengths.json";
+}
+
 } // namespace
 
 TEST(Golden, SweepNumbers)
@@ -199,6 +212,69 @@ TEST(Golden, SweepNumbers)
             EXPECT_EQ(pins[b].second.asNumber(),
                       m.cycleBreakdown[b].second)
                 << label.str() << ", bucket " << pins[b].first;
+        }
+    }
+}
+
+TEST(Golden, PathLengths)
+{
+    // Table 2 and every figure's execution time (CPI x path length)
+    // rest on these complete-program counts.
+    setQuiet(true);
+    const auto &profiles = wload::spec2000Profiles();
+
+    if (const char *update = std::getenv("VCA_UPDATE_GOLDEN");
+        update && *update) {
+        std::ofstream os(pathLengthsPath());
+        ASSERT_TRUE(os) << "cannot write " << pathLengthsPath();
+        trace::JsonWriter w(os);
+        w.beginObject();
+        w.key("programs").beginArray();
+        for (const wload::BenchProfile &prof : profiles) {
+            for (const bool windowed : {false, true}) {
+                w.beginObject();
+                w.key("bench").string(prof.name);
+                w.key("windowed").boolean(windowed);
+                w.key("path_length").number(std::uint64_t(
+                    analysis::pathLength(prof, windowed)));
+                w.key("mem_ops").number(std::uint64_t(
+                    analysis::memOpCount(prof, windowed)));
+                w.endObject();
+            }
+        }
+        w.endArray();
+        w.endObject();
+        os << '\n';
+        GTEST_LOG_(INFO) << "updated " << pathLengthsPath();
+        return;
+    }
+
+    std::ifstream is(pathLengthsPath());
+    ASSERT_TRUE(is) << pathLengthsPath()
+                    << " missing - run VCA_UPDATE_GOLDEN=1 ctest -L "
+                       "golden and commit the result";
+    std::ostringstream buf;
+    buf << is.rdbuf();
+    const trace::JsonValue doc = trace::JsonValue::parse(buf.str());
+    const trace::JsonValue *golden = doc.find("programs");
+    ASSERT_TRUE(golden && golden->isArray());
+    ASSERT_EQ(golden->size(), 2 * profiles.size());
+    size_t i = 0;
+    for (const wload::BenchProfile &prof : profiles) {
+        for (const bool windowed : {false, true}) {
+            const trace::JsonValue &g = golden->at(i++);
+            const std::string label =
+                prof.name + (windowed ? "/windowed" : "/flat");
+            ASSERT_EQ(g.find("bench")->asString(), prof.name) << label;
+            ASSERT_EQ(g.find("windowed")->asBool(), windowed) << label;
+            EXPECT_EQ(static_cast<std::uint64_t>(
+                          g.find("path_length")->asNumber()),
+                      analysis::pathLength(prof, windowed))
+                << label;
+            EXPECT_EQ(static_cast<std::uint64_t>(
+                          g.find("mem_ops")->asNumber()),
+                      analysis::memOpCount(prof, windowed))
+                << label;
         }
     }
 }
