@@ -63,6 +63,24 @@ BM_FunctionalSim(benchmark::State &state)
 }
 BENCHMARK(BM_FunctionalSim);
 
+/** Whole-program run() (the path-length and fast-forward engine);
+ *  Arg(0) is the flat binary, Arg(1) the windowed one. Items are
+ *  instructions, so the rate is the engine's instructions/s. */
+void
+BM_FunctionalRun(benchmark::State &state)
+{
+    const isa::Program *prog = wload::cachedProgram(
+        wload::profileByName("crafty"), state.range(0) != 0);
+    InstCount insts = 0;
+    for (auto _ : state) {
+        mem::SparseMemory memory;
+        func::FuncSim sim(*prog, memory);
+        insts += sim.run().insts;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(insts));
+}
+BENCHMARK(BM_FunctionalRun)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 void
 BM_CacheAccess(benchmark::State &state)
 {

@@ -9,7 +9,6 @@
 #include <cstdio>
 
 #include "bench_common.hh"
-#include "func/func_sim.hh"
 
 using namespace vca;
 
@@ -31,11 +30,8 @@ main()
 
         // Call frequency (paper admits only benchmarks calling at
         // least once every 500 instructions).
-        mem::SparseMemory memory;
-        func::FuncSim sim(*wload::cachedProgram(prof, false), memory);
-        const auto stats = sim.run(5'000'000);
-        const double instsPerCall =
-            stats.calls ? double(stats.insts) / stats.calls : -1;
+        const InstCount calls = analysis::callCount(prof, false);
+        const double instsPerCall = calls ? double(nw) / calls : -1;
 
         std::printf("%-16s %12llu %12llu %8.2f %10.0f\n",
                     prof.name.c_str(), (unsigned long long)nw,

@@ -194,10 +194,12 @@ runBench(const wload::BenchProfile &profile, RenamerKind kind,
 
 namespace {
 
+/** Complete-program counts of one binary, from one functional run. */
 struct PathInfo
 {
     InstCount insts;
     InstCount memOps;
+    InstCount calls;
 };
 
 PathInfo
@@ -218,7 +220,8 @@ pathInfo(const wload::BenchProfile &profile, bool windowed)
                   profile.name.c_str());
         it = cache.emplace(key,
                            PathInfo{stats.insts,
-                                    stats.loads + stats.stores}).first;
+                                    stats.loads + stats.stores,
+                                    stats.calls}).first;
     }
     return it->second;
 }
@@ -235,6 +238,12 @@ InstCount
 memOpCount(const wload::BenchProfile &profile, bool windowed)
 {
     return pathInfo(profile, windowed).memOps;
+}
+
+InstCount
+callCount(const wload::BenchProfile &profile, bool windowed)
+{
+    return pathInfo(profile, windowed).calls;
 }
 
 double

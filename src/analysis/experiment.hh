@@ -61,7 +61,7 @@ struct ParamOverrides
 /**
  * How the simulated numbers are produced. Detailed runs everything
  * through the OoO core (the default; all paper figures). SimPoint and
- * Sampled fast-forward functionally (decoded-BB dispatch) and only run
+ * Sampled fast-forward functionally (FuncSim::run) and only run
  * the OoO core over representative regions, trading a bounded IPC
  * error (the accuracy test tier's ε contract) for host speed.
  */
@@ -120,7 +120,7 @@ struct RunOptions
      *  caches on every fast-forwarded instruction (continuous
      *  functional warming, the SMARTS discipline); N > 0 warms only
      *  the last N instructions of each fast-forward and runs the rest
-     *  through the cheaper decoded-BB path, trading accuracy for
+     *  through the cheaper FuncSim::run, trading accuracy for
      *  fast-forward speed. */
     InstCount sampleFuncWarmInsts = 0;
     /** Sampled mode: detailed (unmeasured) warm-up per sample. */
@@ -306,6 +306,9 @@ InstCount pathLength(const wload::BenchProfile &profile, bool windowed);
 
 /** Complete-program load+store count (cached with pathLength). */
 InstCount memOpCount(const wload::BenchProfile &profile, bool windowed);
+
+/** Complete-program call count (cached with pathLength). */
+InstCount callCount(const wload::BenchProfile &profile, bool windowed);
 
 /**
  * Execution-time estimate for a measured benchmark: CPI x the

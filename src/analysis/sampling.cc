@@ -174,8 +174,8 @@ warmStep(WarmModel &warm, const cpu::Renamer &renamer,
  * Advance one functional master by @p len instructions. With
  * sampleFuncWarmInsts == 0 (the default) every instruction feeds the
  * warm model — continuous functional warming; otherwise only the last
- * sampleFuncWarmInsts do, and the rest run through the decoded-BB
- * fast path (cheaper fast-forward, less accumulated warmth).
+ * sampleFuncWarmInsts do, and the rest run through FuncSim::run
+ * (cheaper fast-forward, less accumulated warmth).
  */
 void
 advance(WarmModel &warm, const cpu::Renamer &renamer,
@@ -184,7 +184,7 @@ advance(WarmModel &warm, const cpu::Renamer &renamer,
 {
     const InstCount tail =
         warmTail == 0 ? len : std::min(warmTail, len);
-    sim.runFast(len - tail);
+    sim.run(len - tail);
     for (InstCount i = 0; i < tail && !sim.halted(); ++i)
         warmStep(warm, renamer, sim, prog, tid);
 }
@@ -421,7 +421,7 @@ runSmarts(const std::vector<const isa::Program *> &programs,
         {
             ScopedSeconds tm(host.funcSeconds);
             for (unsigned t = 0; t < n; ++t)
-                fsim[t]->runFast(committed[t]);
+                fsim[t]->run(committed[t]);
         }
         coveredInPeriod = committed;
     }
@@ -556,7 +556,7 @@ runSimPoint(const std::vector<const isa::Program *> &programs,
         warm.bpred.copyStateFrom(cpu.branchPredictor());
         {
             ScopedSeconds tm(host.funcSeconds);
-            fsim.runFast(committed);
+            fsim.run(committed);
             pos += committed;
         }
     }

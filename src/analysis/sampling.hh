@@ -3,8 +3,8 @@
  * Fast-forward + sampled simulation modes (the non-detailed arms of
  * RunOptions::mode).
  *
- * Both modes interleave the functional core (FuncSim's decoded-BB fast
- * path) with the detailed OoO core:
+ * Both modes interleave the functional core (FuncSim) with the
+ * detailed OoO core:
  *
  *  - SimPoint: cluster BBV intervals into phases (analysis/
  *    simpoint.hh), detail-simulate one representative interval per

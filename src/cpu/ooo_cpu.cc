@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 
 #include "core/vca_renamer.hh"
 #include "cpu/conv_renamer.hh"
 #include "func/func_sim.hh"
 #include "isa/inst.hh"
+#include "isa/semantics.hh"
 #include "sim/logging.hh"
 #include "trace/debug_flags.hh"
 
@@ -394,42 +394,6 @@ OooCpu::readOperand(const DynInst *inst, unsigned s) const
 
 namespace {
 
-std::int64_t
-safeDiv(std::int64_t a, std::int64_t b)
-{
-    if (b == 0)
-        return 0;
-    if (a == std::numeric_limits<std::int64_t>::min() && b == -1)
-        return a;
-    return a / b;
-}
-
-double
-asD(std::uint64_t b)
-{
-    return std::bit_cast<double>(b);
-}
-
-std::uint64_t
-asB(double d)
-{
-    return std::bit_cast<std::uint64_t>(d);
-}
-
-/**
- * Canonicalize FP results: VRISC-64 defines every NaN result as the
- * canonical quiet NaN. (Hardware NaN payload propagation depends on
- * operand order, which compilers are free to commute, so two
- * separately compiled interpreters would otherwise disagree.)
- */
-std::uint64_t
-canonFp(double d)
-{
-    if (d != d)
-        return 0x7ff8000000000000ULL;
-    return std::bit_cast<std::uint64_t>(d);
-}
-
 /** Nops, halts and direct jumps complete at rename, without the IQ. */
 bool
 needsIq(const DynInst &inst)
@@ -448,46 +412,6 @@ OooCpu::executeInst(DynInst *inst)
     std::uint64_t r = 0;
 
     switch (si.op) {
-      case Opcode::Add:  r = a + b; break;
-      case Opcode::Sub:  r = a - b; break;
-      // Wraps like the functional model's multiply (no signed UB).
-      case Opcode::Mul:  r = a * b; break;
-      case Opcode::Div:
-        r = static_cast<std::uint64_t>(
-            safeDiv(static_cast<std::int64_t>(a),
-                    static_cast<std::int64_t>(b)));
-        break;
-      case Opcode::And:  r = a & b; break;
-      case Opcode::Or:   r = a | b; break;
-      case Opcode::Xor:  r = a ^ b; break;
-      case Opcode::Sll:  r = a << (b & 63); break;
-      case Opcode::Srl:  r = a >> (b & 63); break;
-      case Opcode::Sra:
-        r = static_cast<std::uint64_t>(static_cast<std::int64_t>(a) >>
-                                       (b & 63));
-        break;
-      case Opcode::Slt:
-        r = static_cast<std::int64_t>(a) < static_cast<std::int64_t>(b);
-        break;
-      case Opcode::Sltu: r = a < b; break;
-
-      case Opcode::Addi: r = a + si.imm; break;
-      case Opcode::Andi: r = a & si.imm; break;
-      case Opcode::Ori:  r = a | si.imm; break;
-      case Opcode::Xori: r = a ^ si.imm; break;
-      case Opcode::Slli: r = a << (si.imm & 63); break;
-      case Opcode::Srli: r = a >> (si.imm & 63); break;
-      case Opcode::Srai:
-        r = static_cast<std::uint64_t>(static_cast<std::int64_t>(a) >>
-                                       (si.imm & 63));
-        break;
-      case Opcode::Slti:
-        r = static_cast<std::int64_t>(a) < si.imm;
-        break;
-      case Opcode::Lui:
-        r = static_cast<std::uint64_t>(si.imm);
-        break;
-
       case Opcode::Ld: case Opcode::Fld:
         inst->effAddr = (a + si.imm) & ~Addr(7);
         inst->effAddrValid = true;
@@ -498,45 +422,9 @@ OooCpu::executeInst(DynInst *inst)
         inst->storeData = b;
         break;
 
-      case Opcode::Fadd: r = canonFp(asD(a) + asD(b)); break;
-      case Opcode::Fsub: r = canonFp(asD(a) - asD(b)); break;
-      case Opcode::Fmul: r = canonFp(asD(a) * asD(b)); break;
-      case Opcode::Fdiv:
-        r = canonFp(asD(b) == 0.0 ? 0.0 : asD(a) / asD(b));
-        break;
-      case Opcode::Fneg: r = canonFp(-asD(a)); break;
-      case Opcode::Fmov: r = a; break;
-      case Opcode::Fcvtif:
-        r = asB(static_cast<double>(static_cast<std::int64_t>(a)));
-        break;
-      case Opcode::Fcvtfi: {
-        const double d = asD(a);
-        std::int64_t v = 0;
-        if (d == d) {
-            if (d >= 9.2233720368547758e18)
-                v = std::numeric_limits<std::int64_t>::max();
-            else if (d <= -9.2233720368547758e18)
-                v = std::numeric_limits<std::int64_t>::min();
-            else
-                v = static_cast<std::int64_t>(d);
-        }
-        r = static_cast<std::uint64_t>(v);
-        break;
-      }
-      case Opcode::Feq: r = asD(a) == asD(b); break;
-      case Opcode::Flt: r = asD(a) < asD(b); break;
-
       case Opcode::Beq: case Opcode::Bne:
       case Opcode::Blt: case Opcode::Bge: {
-        const auto sa = static_cast<std::int64_t>(a);
-        const auto sb = static_cast<std::int64_t>(b);
-        bool taken = false;
-        switch (si.op) {
-          case Opcode::Beq: taken = sa == sb; break;
-          case Opcode::Bne: taken = sa != sb; break;
-          case Opcode::Blt: taken = sa < sb; break;
-          default:          taken = sa >= sb; break;
-        }
+        const bool taken = isa::branchTaken(si.op, a, b);
         inst->actualTaken = taken;
         inst->actualNpc = taken ? inst->pc + 1 + si.imm : inst->pc + 1;
         break;
@@ -556,7 +444,8 @@ OooCpu::executeInst(DynInst *inst)
       case Opcode::Halt:
         break;
       default:
-        panic("executeInst: unhandled opcode");
+        r = isa::aluResult(si.op, a, b, si.imm);
+        break;
     }
     inst->result = r;
 }

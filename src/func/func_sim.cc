@@ -1,7 +1,9 @@
 #include "func/func_sim.hh"
 
+#include <algorithm>
 #include <bit>
 
+#include "isa/semantics.hh"
 #include "sim/logging.hh"
 
 namespace vca::func {
@@ -9,48 +11,6 @@ namespace vca::func {
 using isa::Opcode;
 using isa::RegClass;
 namespace layout = isa::layout;
-
-namespace {
-
-double
-asDouble(std::uint64_t bits)
-{
-    return std::bit_cast<double>(bits);
-}
-
-std::uint64_t
-asBits(double d)
-{
-    return std::bit_cast<std::uint64_t>(d);
-}
-
-/**
- * Canonicalize FP results: VRISC-64 defines every NaN result as the
- * canonical quiet NaN. (Hardware NaN payload propagation depends on
- * operand order, which compilers are free to commute, so two
- * separately compiled interpreters would otherwise disagree.)
- */
-std::uint64_t
-canonFp(double d)
-{
-    if (d != d)
-        return 0x7ff8000000000000ULL;
-    return std::bit_cast<std::uint64_t>(d);
-}
-
-
-/** Signed division with the usual simulator-safe edge cases. */
-std::int64_t
-safeDiv(std::int64_t a, std::int64_t b)
-{
-    if (b == 0)
-        return 0;
-    if (a == std::numeric_limits<std::int64_t>::min() && b == -1)
-        return a;
-    return a / b;
-}
-
-} // namespace
 
 void
 loadProgramData(const isa::Program &prog, mem::SparseMemory &memory)
@@ -74,31 +34,60 @@ FuncSim::FuncSim(const isa::Program &prog, mem::SparseMemory &memory)
     windowed_ = prog.windowedAbi;
     wbp_ = layout::initialWindowPointer();
     loadProgramData(prog, memory);
+
+    ops_.reserve(prog.size() + 1);
+    for (Addr pc = 0; pc < prog.size(); ++pc) {
+        const isa::StaticInst &si = prog.inst(pc);
+        if (si.imm < std::numeric_limits<std::int32_t>::min() ||
+            si.imm > std::numeric_limits<std::int32_t>::max())
+            panic("FuncSim: immediate %lld at pc %llu out of range",
+                  (long long)si.imm, (unsigned long long)pc);
+        Op op;
+        op.op = si.op;
+        op.imm = static_cast<std::int32_t>(si.imm);
+        op.dst = static_cast<std::uint8_t>(
+            si.hasDest ? slotOf(si.dest.cls, si.dest.idx) : kSinkSlot);
+        std::uint8_t *src[2] = {&op.src0, &op.src1};
+        for (unsigned i = 0; i < 2; ++i) {
+            *src[i] = static_cast<std::uint8_t>(
+                i < si.numSrcs && si.srcValid[i]
+                    ? slotOf(si.src[i].cls, si.src[i].idx) : kZeroSlot);
+        }
+        ops_.push_back(op);
+    }
+    ops_.push_back(Op{});
+
+    if (windowed_)
+        loadFrame();
+}
+
+unsigned
+FuncSim::slotOf(RegClass cls, RegIndex idx) const
+{
+    if (windowed_ && isa::isWindowed(cls, idx))
+        return isa::windowSlot(cls, idx);
+    return (cls == RegClass::Int ? kIntSlot : kFpSlot) + idx;
 }
 
 std::uint64_t
 FuncSim::readReg(RegClass cls, RegIndex idx) const
 {
-    if (cls == RegClass::Int && idx == isa::regZero)
-        return 0;
-    if (windowed_ && isa::isWindowed(cls, idx))
-        return mem_.read(wbp_ + isa::windowSlot(cls, idx) * 8);
-    return cls == RegClass::Int ? intRegs_[idx] : fpRegs_[idx];
+    return regs_[slotOf(cls, idx)];
 }
 
 void
-FuncSim::writeReg(RegClass cls, RegIndex idx, std::uint64_t value)
+FuncSim::loadFrame()
 {
-    if (cls == RegClass::Int && idx == isa::regZero)
-        return;
-    if (windowed_ && isa::isWindowed(cls, idx)) {
-        mem_.write(wbp_ + isa::windowSlot(cls, idx) * 8, value);
-        return;
+    mem_.readWords(wbp_, isa::windowSlots, regs_);
+}
+
+void
+FuncSim::storeFrame(std::uint64_t dirty)
+{
+    for (; dirty; dirty &= dirty - 1) {
+        const unsigned i = std::countr_zero(dirty);
+        mem_.write(wbp_ + i * layout::regSlotBytes, regs_[i]);
     }
-    if (cls == RegClass::Int)
-        intRegs_[idx] = value;
-    else
-        fpRegs_[idx] = value;
 }
 
 std::uint64_t
@@ -110,13 +99,18 @@ FuncSim::readIntReg(RegIndex idx) const
 double
 FuncSim::readFloatReg(RegIndex idx) const
 {
-    return asDouble(readReg(RegClass::Float, idx));
+    return std::bit_cast<double>(readReg(RegClass::Float, idx));
 }
 
 void
 FuncSim::writeIntReg(RegIndex idx, std::uint64_t value)
 {
-    writeReg(RegClass::Int, idx, value);
+    if (idx == isa::regZero)
+        return;
+    const unsigned slot = slotOf(RegClass::Int, idx);
+    regs_[slot] = value;
+    if (slot < isa::windowSlots)
+        storeFrame(std::uint64_t(1) << slot);
 }
 
 bool
@@ -127,270 +121,188 @@ FuncSim::step(StepRecord &rec)
         rec.halted = true;
         return false;
     }
-    return execInst<true>(prog_.inst(pc_), &rec);
-}
-
-template <bool Record>
-bool
-FuncSim::execInst(const isa::StaticInst &si, StepRecord *rec)
-{
-    if constexpr (Record)
-        rec->pc = pc_;
-    Addr npc = pc_ + 1;
-
-    const auto opnd = [&](unsigned i) -> std::uint64_t {
-        if (i >= si.numSrcs || !si.srcValid[i])
-            return 0;
-        return readReg(si.src[i].cls, si.src[i].idx);
-    };
-
-    std::uint64_t result = 0;
-    bool wrote = false;
-
-    switch (si.op) {
-      case Opcode::Nop:
-        break;
-      case Opcode::Halt:
-        halted_ = true;
-        if constexpr (Record) {
-            rec->halted = true;
-            rec->npc = pc_;
-        }
+    const isa::StaticInst &si = prog_.inst(pc_);
+    const unsigned dst = ops_[std::min<Addr>(pc_, ops_.size() - 1)].dst;
+    if (!execute<true>(1, &rec))
         return false;
-
-      case Opcode::Add:  result = opnd(0) + opnd(1); wrote = true; break;
-      case Opcode::Sub:  result = opnd(0) - opnd(1); wrote = true; break;
-      // Unsigned, so an overflowing product wraps instead of being
-      // undefined; the low 64 bits equal the signed product's.
-      case Opcode::Mul:  result = opnd(0) * opnd(1); wrote = true; break;
-      case Opcode::Div:
-        result = static_cast<std::uint64_t>(
-            safeDiv(static_cast<std::int64_t>(opnd(0)),
-                    static_cast<std::int64_t>(opnd(1))));
-        wrote = true;
-        break;
-      case Opcode::And:  result = opnd(0) & opnd(1); wrote = true; break;
-      case Opcode::Or:   result = opnd(0) | opnd(1); wrote = true; break;
-      case Opcode::Xor:  result = opnd(0) ^ opnd(1); wrote = true; break;
-      case Opcode::Sll:  result = opnd(0) << (opnd(1) & 63); wrote = true;
-        break;
-      case Opcode::Srl:  result = opnd(0) >> (opnd(1) & 63); wrote = true;
-        break;
-      case Opcode::Sra:
-        result = static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(opnd(0)) >> (opnd(1) & 63));
-        wrote = true;
-        break;
-      case Opcode::Slt:
-        result = static_cast<std::int64_t>(opnd(0)) <
-                 static_cast<std::int64_t>(opnd(1));
-        wrote = true;
-        break;
-      case Opcode::Sltu: result = opnd(0) < opnd(1); wrote = true; break;
-
-      case Opcode::Addi: result = opnd(0) + si.imm; wrote = true; break;
-      case Opcode::Andi: result = opnd(0) & si.imm; wrote = true; break;
-      case Opcode::Ori:  result = opnd(0) | si.imm; wrote = true; break;
-      case Opcode::Xori: result = opnd(0) ^ si.imm; wrote = true; break;
-      case Opcode::Slli: result = opnd(0) << (si.imm & 63); wrote = true;
-        break;
-      case Opcode::Srli: result = opnd(0) >> (si.imm & 63); wrote = true;
-        break;
-      case Opcode::Srai:
-        result = static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(opnd(0)) >> (si.imm & 63));
-        wrote = true;
-        break;
-      case Opcode::Slti:
-        result = static_cast<std::int64_t>(opnd(0)) < si.imm;
-        wrote = true;
-        break;
-      case Opcode::Lui:
-        result = static_cast<std::uint64_t>(si.imm);
-        wrote = true;
-        break;
-
-      case Opcode::Ld: case Opcode::Fld: {
-        const Addr ea = (opnd(0) + si.imm) & ~Addr(7);
-        result = mem_.read(ea);
-        wrote = true;
-        if constexpr (Record) {
-            rec->isMem = true;
-            rec->effAddr = ea;
-        }
-        ++stats_.loads;
-        break;
-      }
-      case Opcode::St: case Opcode::Fst: {
-        const std::uint64_t base = opnd(0);
-        const std::uint64_t data = opnd(1);
-        const Addr ea = (base + si.imm) & ~Addr(7);
-        mem_.write(ea, data);
-        if constexpr (Record) {
-            rec->isMem = true;
-            rec->effAddr = ea;
-        }
-        ++stats_.stores;
-        break;
-      }
-
-      case Opcode::Fadd:
-        result = canonFp(asDouble(opnd(0)) + asDouble(opnd(1)));
-        wrote = true;
-        break;
-      case Opcode::Fsub:
-        result = canonFp(asDouble(opnd(0)) - asDouble(opnd(1)));
-        wrote = true;
-        break;
-      case Opcode::Fmul:
-        result = canonFp(asDouble(opnd(0)) * asDouble(opnd(1)));
-        wrote = true;
-        break;
-      case Opcode::Fdiv: {
-        const double b = asDouble(opnd(1));
-        result = canonFp(b == 0.0 ? 0.0 : asDouble(opnd(0)) / b);
-        wrote = true;
-        break;
-      }
-      case Opcode::Fneg:
-        result = canonFp(-asDouble(opnd(0)));
-        wrote = true;
-        break;
-      case Opcode::Fmov:
-        result = opnd(0);
-        wrote = true;
-        break;
-      case Opcode::Fcvtif:
-        result = asBits(static_cast<double>(
-            static_cast<std::int64_t>(opnd(0))));
-        wrote = true;
-        break;
-      case Opcode::Fcvtfi: {
-        const double d = asDouble(opnd(0));
-        // Saturating, NaN-safe conversion.
-        std::int64_t v = 0;
-        if (d == d) {
-            if (d >= 9.2233720368547758e18)
-                v = std::numeric_limits<std::int64_t>::max();
-            else if (d <= -9.2233720368547758e18)
-                v = std::numeric_limits<std::int64_t>::min();
-            else
-                v = static_cast<std::int64_t>(d);
-        }
-        result = static_cast<std::uint64_t>(v);
-        wrote = true;
-        break;
-      }
-      case Opcode::Feq:
-        result = asDouble(opnd(0)) == asDouble(opnd(1));
-        wrote = true;
-        break;
-      case Opcode::Flt:
-        result = asDouble(opnd(0)) < asDouble(opnd(1));
-        wrote = true;
-        break;
-
-      case Opcode::Beq: case Opcode::Bne:
-      case Opcode::Blt: case Opcode::Bge: {
-        const auto a = static_cast<std::int64_t>(opnd(0));
-        const auto b = static_cast<std::int64_t>(opnd(1));
-        bool taken = false;
-        switch (si.op) {
-          case Opcode::Beq: taken = a == b; break;
-          case Opcode::Bne: taken = a != b; break;
-          case Opcode::Blt: taken = a < b; break;
-          default:          taken = a >= b; break;
-        }
-        ++stats_.condBranches;
-        if (taken) {
-            ++stats_.takenCondBranches;
-            npc = pc_ + 1 + si.imm;
-        }
-        break;
-      }
-
-      case Opcode::Jmp:
-        npc = static_cast<Addr>(si.imm);
-        break;
-
-      case Opcode::Call: {
-        ++stats_.calls;
-        ++depth_;
-        stats_.maxCallDepth = std::max(stats_.maxCallDepth, depth_);
-        if (windowed_)
-            wbp_ -= layout::windowFrameBytes;
-        // ra is written in the callee's context.
-        writeReg(RegClass::Int, isa::regRa, pc_ + 1);
-        npc = static_cast<Addr>(si.imm);
-        break;
-      }
-      case Opcode::Ret: {
-        // ra is read in the callee's (current) context.
-        npc = static_cast<Addr>(readReg(RegClass::Int, isa::regRa));
-        if (windowed_)
-            wbp_ += layout::windowFrameBytes;
-        if (depth_ > 0)
-            --depth_;
-        break;
-      }
-
-      default:
-        panic("FuncSim: unhandled opcode");
+    // Call writes ra as a side effect of the window shift, not as a
+    // result, so it reports no destination.
+    if (si.hasDest && !si.isCall) {
+        rec.hasDest = true;
+        rec.dest = si.dest;
+        rec.destValue = regs_[dst];
     }
-
-    if (wrote && si.hasDest) {
-        writeReg(si.dest.cls, si.dest.idx, result);
-        if constexpr (Record) {
-            rec->hasDest = true;
-            rec->dest = si.dest;
-            rec->destValue = result;
-        }
-    }
-
-    pc_ = npc;
-    if constexpr (Record)
-        rec->npc = npc;
-    ++stats_.insts;
     return true;
 }
 
 FuncSimStats
 FuncSim::run(InstCount maxInsts)
 {
-    StepRecord rec;
-    const InstCount start = stats_.insts;
-    while (!halted_ && stats_.insts - start < maxInsts)
-        step(rec);
+    if (!halted_)
+        execute<false>(maxInsts, nullptr);
     return stats_;
 }
 
-FuncSimStats
-FuncSim::runFast(InstCount maxInsts)
+// One case per ALU/FP opcode, so each inlines only its own arithmetic.
+#define VCA_ALU_CASE(OPC)                                               \
+      case Opcode::OPC:                                                 \
+        set(o.dst, isa::aluResult(Opcode::OPC, r[o.src0], r[o.src1],    \
+                                  o.imm));                              \
+        break;
+
+#define VCA_BRANCH_CASE(OPC)                                            \
+      case Opcode::OPC:                                                 \
+        ++s.condBranches;                                               \
+        if (isa::branchTaken(Opcode::OPC, r[o.src0], r[o.src1])) {      \
+            ++s.takenCondBranches;                                      \
+            npc = pc + 1 + o.imm;                                       \
+        }                                                               \
+        break;
+
+template <bool Record>
+bool
+FuncSim::execute(InstCount maxInsts, StepRecord *rec)
 {
-    if (!bbCache_)
-        bbCache_ = std::make_unique<isa::BbCache>(prog_);
-    const InstCount start = stats_.insts;
-    while (!halted_) {
-        const InstCount done = stats_.insts - start;
-        if (done >= maxInsts)
+    // The loop state lives in locals; it goes back to the members, and
+    // the written frame slots to memory, on the way out. A single step
+    // counts straight into stats_ rather than copying it in and out.
+    std::uint64_t *const r = regs_;
+    const Op *const ops = ops_.data();
+    const Addr haltPc = ops_.size() - 1;
+    Addr pc = pc_;
+    unsigned depth = depth_;
+    FuncSimStats local;
+    if constexpr (!Record)
+        local = stats_;
+    FuncSimStats &s = Record ? stats_ : local;
+    std::uint64_t dirty = 0; ///< frame slots written since last stored
+    InstCount left = maxInsts;
+
+    const auto set = [&](unsigned slot, std::uint64_t value) {
+        r[slot] = value;
+        if (slot < isa::windowSlots)
+            dirty |= std::uint64_t(1) << slot;
+    };
+    const auto syncFrame = [&] {
+        storeFrame(dirty);
+        dirty = 0;
+    };
+    const auto moveWindow = [&](Addr wbp) {
+        syncFrame();
+        wbp_ = wbp;
+        loadFrame();
+    };
+    const auto finish = [&] {
+        syncFrame();
+        pc_ = pc;
+        depth_ = depth;
+        s.insts += maxInsts - left;
+        if constexpr (!Record)
+            stats_ = s;
+    };
+
+    for (; left; --left) {
+        const Op &o = ops[std::min(pc, haltPc)];
+        if constexpr (Record)
+            rec->pc = pc;
+        Addr npc = pc + 1;
+
+        switch (o.op) {
+          case Opcode::Nop:
             break;
-        const isa::BasicBlock &bb = bbCache_->blockAt(pc_);
-        // Only the final instruction of a block can redirect, so the
-        // body is a straight pointer walk over the decoded image. A
-        // truncated walk leaves pc_ mid-block; the next lookup simply
-        // discovers the sub-block starting there.
-        std::uint32_t n = bb.length;
-        const InstCount remaining = maxInsts - done;
-        if (n > remaining)
-            n = static_cast<std::uint32_t>(remaining);
-        const isa::StaticInst *ip = &prog_.inst(bb.startPc);
-        for (std::uint32_t i = 0; i < n; ++i) {
-            if (!execInst<false>(ip[i], nullptr))
-                return stats_;
+          case Opcode::Halt:
+            halted_ = true;
+            if constexpr (Record) {
+                rec->halted = true;
+                rec->npc = pc;
+            }
+            finish();
+            return false;
+
+          VCA_ALU_CASE(Add) VCA_ALU_CASE(Sub) VCA_ALU_CASE(Mul)
+          VCA_ALU_CASE(Div) VCA_ALU_CASE(And) VCA_ALU_CASE(Or)
+          VCA_ALU_CASE(Xor) VCA_ALU_CASE(Sll) VCA_ALU_CASE(Srl)
+          VCA_ALU_CASE(Sra) VCA_ALU_CASE(Slt) VCA_ALU_CASE(Sltu)
+          VCA_ALU_CASE(Addi) VCA_ALU_CASE(Andi) VCA_ALU_CASE(Ori)
+          VCA_ALU_CASE(Xori) VCA_ALU_CASE(Slli) VCA_ALU_CASE(Srli)
+          VCA_ALU_CASE(Srai) VCA_ALU_CASE(Slti) VCA_ALU_CASE(Lui)
+          VCA_ALU_CASE(Fadd) VCA_ALU_CASE(Fsub) VCA_ALU_CASE(Fmul)
+          VCA_ALU_CASE(Fdiv) VCA_ALU_CASE(Fneg) VCA_ALU_CASE(Fmov)
+          VCA_ALU_CASE(Fcvtif) VCA_ALU_CASE(Fcvtfi)
+          VCA_ALU_CASE(Feq) VCA_ALU_CASE(Flt)
+
+          case Opcode::Ld: case Opcode::Fld: {
+            const Addr ea = (r[o.src0] + o.imm) & ~Addr(7);
+            // The load may read a register-space word the frame cache
+            // holds newer than memory.
+            if (ea >= layout::regSpaceBase)
+                syncFrame();
+            set(o.dst, mem_.read(ea));
+            ++s.loads;
+            if constexpr (Record) {
+                rec->isMem = true;
+                rec->effAddr = ea;
+            }
+            break;
+          }
+          case Opcode::St: case Opcode::Fst: {
+            const Addr ea = (r[o.src0] + o.imm) & ~Addr(7);
+            const std::uint64_t data = r[o.src1];
+            if (ea >= layout::regSpaceBase) {
+                syncFrame();
+                const Addr off = ea - wbp_;
+                if (windowed_ && off < layout::windowFrameBytes)
+                    r[off / layout::regSlotBytes] = data;
+            }
+            mem_.write(ea, data);
+            ++s.stores;
+            if constexpr (Record) {
+                rec->isMem = true;
+                rec->effAddr = ea;
+            }
+            break;
+          }
+
+          VCA_BRANCH_CASE(Beq) VCA_BRANCH_CASE(Bne)
+          VCA_BRANCH_CASE(Blt) VCA_BRANCH_CASE(Bge)
+
+          case Opcode::Jmp:
+            npc = static_cast<Addr>(o.imm);
+            break;
+
+          case Opcode::Call:
+            ++s.calls;
+            ++depth;
+            s.maxCallDepth = std::max(s.maxCallDepth, depth);
+            if (windowed_)
+                moveWindow(wbp_ - layout::windowFrameBytes);
+            // ra is written in the callee's context.
+            set(o.dst, pc + 1);
+            npc = static_cast<Addr>(o.imm);
+            break;
+          case Opcode::Ret:
+            // ra is read in the callee's (current) context.
+            npc = r[o.src0];
+            if (windowed_)
+                moveWindow(wbp_ + layout::windowFrameBytes);
+            if (depth > 0)
+                --depth;
+            break;
+
+          default:
+            panic("FuncSim: unhandled opcode");
         }
+
+        pc = npc;
+        if constexpr (Record)
+            rec->npc = npc;
     }
-    return stats_;
+    finish();
+    return true;
 }
+
+#undef VCA_ALU_CASE
+#undef VCA_BRANCH_CASE
 
 ArchState
 FuncSim::captureState() const
@@ -405,11 +317,6 @@ FuncSim::captureState() const
     for (unsigned i = 0; i < isa::numFloatRegs; ++i)
         s.fpRegs[i] = readReg(RegClass::Float, static_cast<RegIndex>(i));
     return s;
-}
-
-void
-FuncSim::refreshFrameCache()
-{
 }
 
 } // namespace vca::func

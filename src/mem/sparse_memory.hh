@@ -20,6 +20,7 @@
 #ifndef VCA_MEM_SPARSE_MEMORY_HH
 #define VCA_MEM_SPARSE_MEMORY_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -60,6 +61,34 @@ class SparseMemory
         Page &page = getPage(addr);
         cacheWords(addr, page);
         page[wordIndex(addr)] = value;
+    }
+
+    /**
+     * Read @p n consecutive words from aligned @p addr into @p out, a
+     * page at a time; like read(), absent pages read as zero and are
+     * not created.
+     */
+    void
+    readWords(Addr addr, unsigned n, std::uint64_t *out) const
+    {
+        while (n) {
+            const unsigned first = wordIndex(addr);
+            const unsigned count = std::min(n, wordsPerPage - first);
+            const std::uint64_t *words = cachedWords(addr);
+            if (!words) {
+                if (const Page *page = findPage(addr)) {
+                    cacheWords(addr, *page);
+                    words = page->data();
+                }
+            }
+            if (words)
+                std::copy_n(words + first, count, out);
+            else
+                std::fill_n(out, count, 0);
+            addr += Addr(count) * 8;
+            out += count;
+            n -= count;
+        }
     }
 
     /** Read as IEEE double (bit pattern reinterpretation). */

@@ -542,7 +542,7 @@ switchInEquivalence(const std::vector<const isa::Program *> &progs,
         fmem.push_back(std::make_unique<mem::SparseMemory>());
         fsim.push_back(
             std::make_unique<func::FuncSim>(*progs[t], *fmem[t]));
-        fsim[t]->runFast(ffInsts);
+        fsim[t]->run(ffInsts);
         ASSERT_FALSE(fsim[t]->halted())
             << "thread " << t << " too short for the fast-forward";
     }
@@ -646,7 +646,7 @@ TEST(SwitchIn, AbiMismatchPanics)
         wload::cachedProgram(wload::profileByName("crafty"), false);
     mem::SparseMemory fm;
     func::FuncSim sim(*flat, fm);
-    sim.runFast(100);
+    sim.run(100);
     OooCpu cpu(paramsFor(RenamerKind::Vca, 192), {windowed});
     EXPECT_THROW(cpu.switchIn(0, sim.captureState(), fm), PanicError);
 }
@@ -657,7 +657,7 @@ TEST(SwitchIn, OnlyLegalBeforeFirstCycle)
         wload::cachedProgram(wload::profileByName("crafty"), false);
     mem::SparseMemory fm;
     func::FuncSim sim(*prog, fm);
-    sim.runFast(100);
+    sim.run(100);
     OooCpu cpu(paramsFor(RenamerKind::Baseline, 256), {prog});
     cpu.run(50, 100'000);
     EXPECT_THROW(cpu.switchIn(0, sim.captureState(), fm), PanicError);

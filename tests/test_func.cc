@@ -2,14 +2,23 @@
  * @file
  * Unit tests for the functional simulator: instruction semantics, the
  * windowed ABI (window shifting, cross-window isolation, deep
- * recursion), and hand-written program execution.
+ * recursion), hand-written program execution, and the engine's
+ * properties: the frame cache stays coherent with the memory image,
+ * and run() in any chunking equals single steps.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <set>
+
 #include "func/func_sim.hh"
 #include "isa/program.hh"
+#include "sim/logging.hh"
+#include "sim/rng.hh"
 #include "wload/asm_builder.hh"
+#include "wload/generator.hh"
+#include "wload/profile.hh"
 
 namespace {
 
@@ -363,11 +372,11 @@ TEST(FuncSim, CaptureStateTracksWindowOnCallAndReturn)
     EXPECT_EQ(out.windowBase, in.windowBase + layout::windowFrameBytes);
 }
 
-TEST(FuncSim, RunFastMatchesStepOnWindowedRecursion)
+TEST(FuncSim, RunMatchesStepOnWindowedRecursion)
 {
-    // Deep recursion through the windowed ABI: the decoded-BB fast
-    // path and the stepping interpreter must stay in lockstep on pc,
-    // depth, window base and every visible register.
+    // Deep recursion through the windowed ABI: run() in chunks and
+    // single steps must stay in lockstep on pc, depth, window base and
+    // every visible register.
     AsmBuilder b;
     auto fib = b.newLabel();
     auto recurse = b.newLabel();
@@ -397,7 +406,7 @@ TEST(FuncSim, RunFastMatchesStepOnWindowedRecursion)
     func::StepRecord rec;
     // Compare at many interleaved checkpoints, not just the end.
     while (!slow.halted()) {
-        fast.runFast(97);
+        fast.run(97);
         for (int i = 0; i < 97 && slow.step(rec); ++i) {
         }
         ASSERT_EQ(fast.pc(), slow.pc());
@@ -410,6 +419,280 @@ TEST(FuncSim, RunFastMatchesStepOnWindowedRecursion)
     }
     EXPECT_TRUE(fast.halted());
     EXPECT_EQ(fast.readIntReg(4), 144u); // fib(12)
+}
+
+TEST(FuncSim, RequiresFinalizedProgram)
+{
+    AsmBuilder b;
+    b.addi(4, regZero, 1);
+    b.halt();
+    isa::Program p;
+    p.name = "unfinalized";
+    p.code = b.seal(); // code present but never finalize()d
+    mem::SparseMemory m;
+    EXPECT_THROW(func::FuncSim sim(p, m), PanicError);
+}
+
+TEST(FuncSim, ProgramImageIsImmutable)
+{
+    // The op image belongs to the FuncSim; translating and running the
+    // program never changes the program itself.
+    AsmBuilder b;
+    auto fn = b.newLabel();
+    b.addi(4, regZero, 3);
+    b.call(fn);
+    b.halt();
+    b.bind(fn);
+    b.addi(10, 4, 1);
+    b.ret();
+    isa::Program p = makeProgram(b, true);
+    const std::vector<std::uint32_t> image = p.code;
+    std::vector<std::string> decoded;
+    for (Addr pc = 0; pc < p.size(); ++pc)
+        decoded.push_back(isa::disassemble(p.inst(pc)));
+    {
+        mem::SparseMemory m;
+        func::FuncSim sim(p, m);
+        sim.run(1'000'000);
+        EXPECT_TRUE(sim.halted());
+    }
+    EXPECT_EQ(p.code, image);
+    for (Addr pc = 0; pc < p.size(); ++pc)
+        EXPECT_EQ(isa::disassemble(p.inst(pc)), decoded[pc]);
+}
+
+TEST(FuncSim, OffImagePcHalts)
+{
+    // A jump off the end of the code image executes as HALT there.
+    AsmBuilder b;
+    b.addi(4, regZero, 1);
+    b.emitWord(isa::encodeJ(Opcode::Jmp, 1000));
+    mem::SparseMemory m;
+    isa::Program p = makeProgram(b);
+    func::FuncSim sim(p, m);
+    func::StepRecord rec;
+    EXPECT_TRUE(sim.step(rec));
+    EXPECT_TRUE(sim.step(rec));
+    EXPECT_EQ(rec.npc, 1000u);
+    EXPECT_FALSE(sim.step(rec));
+    EXPECT_TRUE(rec.halted);
+    EXPECT_EQ(rec.pc, 1000u);
+    EXPECT_TRUE(sim.halted());
+    EXPECT_EQ(sim.pc(), 1000u);
+    EXPECT_EQ(sim.stats().insts, 2u);
+}
+
+// ---------------------------------------------------------------------
+// Frame-cache coherence: under the windowed ABI the engine holds the
+// current frame in host slots; loads, stores and the memory image must
+// still see every register at its register-space address.
+// ---------------------------------------------------------------------
+
+/** Register-space address of windowed register rN in frame @p wbp. */
+Addr
+slotAddr(Addr wbp, RegIndex idx)
+{
+    return wbp + isa::windowSlot(RegClass::Int, idx) * 8;
+}
+
+TEST(FuncSim, RegSpaceLoadsAndStoresSeeTheFrameCache)
+{
+    const Addr w0 = layout::initialWindowPointer();
+    const Addr w1 = w0 - layout::windowFrameBytes; // callee frame
+    const auto off = [&](RegIndex idx) {
+        return static_cast<std::int32_t>(slotAddr(0, idx));
+    };
+
+    // Globals r3/r4 hold the frame bases; r5..r9 collect results.
+    AsmBuilder b;
+    auto fn = b.newLabel();
+    b.li(3, w0);
+    b.li(4, w1);
+    b.addi(10, regZero, 5);   // r10 = 5 (cached, not yet in memory)
+    b.addi(12, regZero, 77);
+    b.st(3, 12, off(10));     // store to r10's own address ...
+    b.mov(5, 10);             // ... is what r10 now reads: 77
+    b.addi(10, 10, 1);        // r10 = 78
+    b.ld(6, 3, off(10));      // a load sees the cached 78
+    b.call(fn);
+    b.mov(9, 10);             // r10 after the callee stored to it: 999
+    b.addi(15, regZero, 55);  // only in the frame cache until run() ends
+    b.halt();
+    b.bind(fn);
+    b.ld(7, 3, off(10));      // caller's r10, stored back on Call: 78
+    b.addi(13, regZero, 999);
+    b.st(3, 13, off(10));     // store to the caller's r10
+    b.addi(11, regZero, 1);
+    b.addi(14, regZero, 4242);
+    b.st(4, 14, off(11));     // store to the callee's own r11
+    b.mov(8, 11);             // r8 = 4242
+    b.ret();
+
+    isa::Program p = makeProgram(b, true);
+    mem::SparseMemory m;
+    func::FuncSim sim(p, m);
+    sim.run(1'000'000);
+    ASSERT_TRUE(sim.halted());
+    EXPECT_EQ(sim.readIntReg(5), 77u);
+    EXPECT_EQ(sim.readIntReg(6), 78u);
+    EXPECT_EQ(sim.readIntReg(7), 78u);
+    EXPECT_EQ(sim.readIntReg(8), 4242u);
+    EXPECT_EQ(sim.readIntReg(9), 999u);
+    EXPECT_EQ(sim.readIntReg(10), 999u);
+    // The image holds every register at its address.
+    EXPECT_EQ(m.read(slotAddr(w0, 10)), 999u);
+    EXPECT_EQ(m.read(slotAddr(w0, 12)), 77u);
+    EXPECT_EQ(m.read(slotAddr(w0, 15)), 55u);
+    EXPECT_EQ(m.read(slotAddr(w1, 11)), 4242u);
+    EXPECT_EQ(m.read(slotAddr(w1, 13)), 999u);
+    Addr callPc = 0;
+    while (!p.inst(callPc).isCall)
+        ++callPc;
+    EXPECT_EQ(m.read(slotAddr(w1, isa::regRa)), callPc + 1);
+}
+
+TEST(FuncSim, RecursionAcrossPageBoundariesKeepsEveryFrame)
+{
+    // rec(n) puts n-derived values in windowed registers (int and fp,
+    // including the frame's last slot), recurses to depth kDepth + 1,
+    // and on the way out adds them to the global r5. 376-byte frames
+    // straddle 4 KiB pages, so the frame loads and write-backs cross
+    // page boundaries many times.
+    constexpr unsigned kDepth = 60;
+    AsmBuilder b;
+    auto fn = b.newLabel();
+    auto base = b.newLabel();
+    b.addi(4, regZero, kDepth);
+    b.call(fn);
+    b.halt();
+    b.bind(fn);
+    b.mov(10, 4);
+    b.addi(20, 4, 100);
+    b.addi(31, 4, 1000);
+    b.emitR(Opcode::Fcvtif, 31, 4, regZero);  // f31 = double(n)
+    b.branch(Opcode::Beq, 4, regZero, base);
+    b.addi(4, 4, -1);
+    b.call(fn);
+    b.bind(base);
+    b.emitR(Opcode::Add, 5, 5, 10);
+    b.emitR(Opcode::Add, 5, 5, 20);
+    b.emitR(Opcode::Add, 5, 5, 31);
+    b.emitR(Opcode::Fcvtfi, 21, 31, regZero);
+    b.emitR(Opcode::Add, 5, 5, 21);
+    b.ret();
+
+    isa::Program p = makeProgram(b, true);
+    mem::SparseMemory m;
+    func::FuncSim sim(p, m);
+    sim.run(1'000'000);
+    ASSERT_TRUE(sim.halted());
+    const std::uint64_t n = kDepth;
+    EXPECT_EQ(sim.readIntReg(5), 4 * n * (n + 1) / 2 + 1100 * (n + 1));
+    EXPECT_EQ(sim.stats().maxCallDepth, kDepth + 1);
+
+    // Frame d (1-based) ran rec(kDepth + 1 - d). Every written slot is
+    // in the image, and the pages are exactly the written slots'.
+    const Addr w0 = layout::initialWindowPointer();
+    const unsigned f31 = isa::windowSlot(RegClass::Float, 31);
+    std::set<Addr> pages;
+    unsigned straddling = 0;
+    for (unsigned d = 1; d <= kDepth + 1; ++d) {
+        const Addr w = w0 - d * layout::windowFrameBytes;
+        const std::uint64_t arg = kDepth + 1 - d;
+        EXPECT_EQ(m.read(slotAddr(w, 10)), arg) << "depth " << d;
+        EXPECT_EQ(m.read(slotAddr(w, 20)), arg + 100) << "depth " << d;
+        EXPECT_EQ(m.read(slotAddr(w, 31)), arg + 1000) << "depth " << d;
+        EXPECT_EQ(m.read(slotAddr(w, 21)), arg) << "depth " << d;
+        EXPECT_EQ(m.read(w + f31 * 8),
+                  std::bit_cast<std::uint64_t>(double(arg)))
+            << "depth " << d;
+        for (RegIndex r : {RegIndex(isa::regRa), RegIndex(10),
+                           RegIndex(20), RegIndex(21), RegIndex(31)})
+            pages.insert(slotAddr(w, r) >> mem::SparseMemory::pageShift);
+        pages.insert((w + f31 * 8) >> mem::SparseMemory::pageShift);
+        if ((w >> mem::SparseMemory::pageShift) !=
+            ((w + layout::windowFrameBytes - 1) >>
+             mem::SparseMemory::pageShift))
+            ++straddling;
+    }
+    EXPECT_GE(straddling, 3u);
+    EXPECT_EQ(m.allocatedPages(), pages.size());
+}
+
+/** Every word of every page of @p a equals @p b's, and vice versa. */
+void
+expectSameImage(const mem::SparseMemory &a, const mem::SparseMemory &b,
+                const std::string &label)
+{
+    EXPECT_EQ(a.allocatedPages(), b.allocatedPages()) << label;
+    unsigned mismatches = 0;
+    a.forEachPage([&](Addr base, const std::uint64_t *words) {
+        for (unsigned i = 0; i < mem::SparseMemory::wordsPerPage; ++i)
+            if (b.read(base + i * 8) != words[i])
+                ++mismatches;
+    });
+    EXPECT_EQ(mismatches, 0u) << label;
+}
+
+void
+expectSameState(const func::FuncSim &a, const func::FuncSim &b,
+                const std::string &label)
+{
+    const func::FuncSimStats &sa = a.stats(), &sb = b.stats();
+    EXPECT_EQ(sa.insts, sb.insts) << label;
+    EXPECT_EQ(sa.loads, sb.loads) << label;
+    EXPECT_EQ(sa.stores, sb.stores) << label;
+    EXPECT_EQ(sa.calls, sb.calls) << label;
+    EXPECT_EQ(sa.condBranches, sb.condBranches) << label;
+    EXPECT_EQ(sa.takenCondBranches, sb.takenCondBranches) << label;
+    EXPECT_EQ(sa.maxCallDepth, sb.maxCallDepth) << label;
+    EXPECT_EQ(a.halted(), b.halted()) << label;
+    const func::ArchState ca = a.captureState(), cb = b.captureState();
+    EXPECT_EQ(ca.pc, cb.pc) << label;
+    EXPECT_EQ(ca.windowedAbi, cb.windowedAbi) << label;
+    EXPECT_EQ(ca.callDepth, cb.callDepth) << label;
+    EXPECT_EQ(ca.windowBase, cb.windowBase) << label;
+    for (unsigned r = 0; r < isa::numIntRegs; ++r)
+        EXPECT_EQ(ca.intRegs[r], cb.intRegs[r]) << label << " r" << r;
+    for (unsigned r = 0; r < isa::numFloatRegs; ++r)
+        EXPECT_EQ(ca.fpRegs[r], cb.fpRegs[r]) << label << " f" << r;
+}
+
+TEST(FuncSim, RunChunksAndStepsAgreeOnGeneratedProfiles)
+{
+    // One run(N), run() in random chunks (arbitrary resume boundaries)
+    // and N step() calls end in the same statistics, architectural
+    // state and memory image, down to which pages exist.
+    constexpr InstCount kInsts = 20'000;
+    Rng rng(2024);
+    for (const wload::BenchProfile &prof : wload::spec2000Profiles()) {
+        for (const bool windowed : {false, true}) {
+            const std::string label =
+                prof.name + (windowed ? "/windowed" : "/flat");
+            const isa::Program &prog =
+                *wload::cachedProgram(prof, windowed);
+            mem::SparseMemory mOnce, mChunks, mSteps;
+            func::FuncSim once(prog, mOnce);
+            func::FuncSim chunks(prog, mChunks);
+            func::FuncSim steps(prog, mSteps);
+
+            once.run(kInsts);
+            for (InstCount done = 0; done < kInsts;) {
+                const InstCount n =
+                    std::min<InstCount>(1 + rng.below(997), kInsts - done);
+                chunks.run(n);
+                done += n;
+            }
+            func::StepRecord rec;
+            for (InstCount i = 0; i < kInsts; ++i)
+                steps.step(rec);
+
+            expectSameState(once, chunks, label + " chunks");
+            expectSameState(once, steps, label + " steps");
+            expectSameImage(mOnce, mChunks, label + " chunks");
+            expectSameImage(mOnce, mSteps, label + " steps");
+        }
+    }
 }
 
 } // namespace
