@@ -387,6 +387,30 @@ TEST(SparseMemory, ClearInvalidatesCachedPagePointers)
     EXPECT_EQ(m.allocatedPages(), 1u);
 }
 
+TEST(SparseMemory, ReadWordsMatchesReadAndCreatesNoPage)
+{
+    // Bulk reads (the functional engine's frame loads) cross page
+    // boundaries, including into an absent page, and see exactly what
+    // word-by-word read() sees.
+    mem::SparseMemory m;
+    Rng rng(7);
+    constexpr Addr pageBytes = mem::SparseMemory::pageBytes;
+    for (Addr page : {Addr(0), Addr(1), Addr(3)})
+        for (unsigned i = 0; i < mem::SparseMemory::wordsPerPage; ++i)
+            m.write(page * pageBytes + i * 8, rng.next());
+    const size_t pages = m.allocatedPages();
+    std::vector<std::uint64_t> out(600);
+    for (int trial = 0; trial < 500; ++trial) {
+        const Addr addr = static_cast<Addr>(rng.range(0, 4 * 512 - 1)) * 8;
+        const auto n = static_cast<unsigned>(rng.range(0, 600));
+        m.readWords(addr, n, out.data());
+        for (unsigned i = 0; i < n; ++i)
+            ASSERT_EQ(out[i], m.read(addr + i * 8))
+                << "addr " << std::hex << addr << " word " << std::dec << i;
+    }
+    EXPECT_EQ(m.allocatedPages(), pages);
+}
+
 TEST(SparseMemory, ConflictingPagesShareACacheSlot)
 {
     mem::SparseMemory m;
