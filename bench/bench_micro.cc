@@ -20,6 +20,7 @@
 #include "bpred/bpred.hh"
 #include "cpu/ooo_cpu.hh"
 #include "func/func_sim.hh"
+#include "isa/program.hh"
 #include "mem/cache.hh"
 #include "sim/rng.hh"
 #include "wload/generator.hh"
@@ -81,6 +82,10 @@ BM_FunctionalRun(benchmark::State &state)
 }
 BENCHMARK(BM_FunctionalRun)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
+/** One cache access per iteration. Arg(0): random data addresses over
+ *  4 MiB, each a full tag check. Arg(1): instruction fetch around a
+ *  32 KiB loop that fits in the L1I, one 4-byte code word per access,
+ *  so 15 of every 16 accesses repeat the last line (the MRU path). */
 void
 BM_CacheAccess(benchmark::State &state)
 {
@@ -88,14 +93,24 @@ BM_CacheAccess(benchmark::State &state)
     mem::MemSystem ms(mem::MemSystemParams{}, &root);
     Rng rng(42);
     Cycle now = 0;
-    for (auto _ : state) {
-        const Addr addr = rng.below(1 << 22);
-        benchmark::DoNotOptimize(ms.dataAccess(addr, false, now));
-        now += 1;
+    if (state.range(0) == 0) {
+        for (auto _ : state) {
+            const Addr addr = rng.below(1 << 22);
+            benchmark::DoNotOptimize(ms.dataAccess(addr, false, now));
+            now += 1;
+        }
+    } else {
+        Addr pc = 0;
+        for (auto _ : state) {
+            benchmark::DoNotOptimize(
+                ms.instAccess(isa::layout::pcToAddr(pc), now));
+            pc = (pc + 1) & ((1 << 13) - 1);
+            now += 1;
+        }
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CacheAccess);
+BENCHMARK(BM_CacheAccess)->Arg(0)->Arg(1);
 
 void
 BM_BranchPredict(benchmark::State &state)

@@ -99,6 +99,16 @@ class ScopedSeconds
 };
 
 /**
+ * Warming runs on its own clock: stepping it by more than the worst
+ * miss chain per instruction guarantees in-flight fills always retire
+ * before the next access, so the MSHRs can never saturate and reject
+ * warming traffic. The clock never leaks into a measured run —
+ * copyStateFrom transfers tags and LRU order (which use an internal
+ * access counter) but no in-flight timestamps.
+ */
+constexpr Cycle kWarmCyclesPerInst = 300;
+
+/**
  * Persistent functional-warming state. Microarchitectural history
  * (cache tags, LRU order, predictor tables) accumulates here across
  * the entire fast-forwarded region and is transplanted into each
@@ -110,72 +120,62 @@ struct WarmModel
     mem::MemSystem mem;
     bpred::BranchPredictor bpred;
     Cycle now = 0;
+    /** One chunk of the functional trace being applied. */
+    std::vector<func::TraceRecord> trace;
 
     WarmModel(const cpu::CpuParams &params, unsigned numThreads)
         : mem(params.memParams),
-          bpred(params.bpredParams, numThreads, nullptr)
+          bpred(params.bpredParams, numThreads, nullptr),
+          trace(func::kTraceChunkInsts)
     {
     }
+
+    /**
+     * Feed one executed instruction to the branch predictor and caches,
+     * mirroring what the pipeline itself does per instruction (icache
+     * access per fetch, dcache access per memory op; predict /
+     * commit-update / redirect-repair; RAS push on call, pop on ret).
+     */
+    void
+    apply(const func::TraceRecord &rec, const isa::StaticInst &si,
+          const cpu::Renamer &renamer, ThreadId tid)
+    {
+        mem.instAccess(
+            mem::MemSystem::threadTag(tid, isa::layout::pcToAddr(rec.pc)),
+            now);
+        if (rec.isMem) {
+            const Addr a = renamer.relocateRegSpace(tid, rec.effAddr);
+            mem.dataAccess(mem::MemSystem::threadTag(tid, a), si.isStore,
+                           now);
+        }
+
+        if (si.isBranch) {
+            bpred::BPredCheckpoint ckpt;
+            const bool taken = rec.npc != rec.pc + 1;
+            const bool pred = bpred.predict(tid, rec.pc, ckpt);
+            bpred.update(tid, rec.pc, taken, ckpt.history);
+            if (pred != taken)
+                bpred.repairHistory(tid, ckpt, taken);
+        } else if (si.isCall) {
+            bpred::BPredCheckpoint ckpt;
+            bpred.pushRas(tid, rec.pc + 1, ckpt);
+        } else if (si.isRet) {
+            bpred::BPredCheckpoint ckpt;
+            bpred.popRas(tid, ckpt);
+        }
+        now += kWarmCyclesPerInst;
+    }
 };
-
-/**
- * Execute one functional instruction and feed its outcome to the warm
- * model's branch predictor and caches, mirroring what the pipeline
- * itself does per instruction (predict / commit-update /
- * redirect-repair; RAS push on call, pop on ret; icache access per
- * fetch, dcache access per memory op).
- *
- * Warming runs on its own clock: stepping it by more than the worst
- * miss chain per instruction guarantees in-flight fills always retire
- * before the next access, so the MSHRs can never saturate and reject
- * warming traffic. The clock never leaks into a measured run —
- * copyStateFrom transfers tags and LRU order (which use an internal
- * access counter) but no in-flight timestamps.
- */
-constexpr Cycle kWarmCyclesPerInst = 300;
-
-void
-warmStep(WarmModel &warm, const cpu::Renamer &renamer,
-         func::FuncSim &sim, const isa::Program &prog, ThreadId tid)
-{
-    const isa::StaticInst &si = prog.inst(sim.pc());
-    func::StepRecord rec;
-    if (!sim.step(rec))
-        return;
-
-    warm.mem.instAccess(
-        mem::MemSystem::threadTag(tid, isa::layout::pcToAddr(rec.pc)),
-        warm.now);
-    if (rec.isMem) {
-        const Addr a = renamer.relocateRegSpace(tid, rec.effAddr);
-        warm.mem.dataAccess(mem::MemSystem::threadTag(tid, a),
-                            si.isStore, warm.now);
-    }
-
-    auto &bp = warm.bpred;
-    if (si.isBranch) {
-        bpred::BPredCheckpoint ckpt;
-        const bool taken = rec.npc != rec.pc + 1;
-        const bool pred = bp.predict(tid, rec.pc, ckpt);
-        bp.update(tid, rec.pc, taken, ckpt.history);
-        if (pred != taken)
-            bp.repairHistory(tid, ckpt, taken);
-    } else if (si.isCall) {
-        bpred::BPredCheckpoint ckpt;
-        bp.pushRas(tid, rec.pc + 1, ckpt);
-    } else if (si.isRet) {
-        bpred::BPredCheckpoint ckpt;
-        bp.popRas(tid, ckpt);
-    }
-    warm.now += kWarmCyclesPerInst;
-}
 
 /**
  * Advance one functional master by @p len instructions. With
  * sampleFuncWarmInsts == 0 (the default) every instruction feeds the
  * warm model — continuous functional warming; otherwise only the last
  * sampleFuncWarmInsts do, and the rest run through FuncSim::run
- * (cheaper fast-forward, less accumulated warmth).
+ * (cheaper fast-forward, less accumulated warmth). Warmed instructions
+ * are traced a chunk at a time and then applied in program order; the
+ * warm model never feeds back into the functional run, so this is the
+ * same sequence of updates as warming after each instruction.
  */
 void
 advance(WarmModel &warm, const cpu::Renamer &renamer,
@@ -185,8 +185,15 @@ advance(WarmModel &warm, const cpu::Renamer &renamer,
     const InstCount tail =
         warmTail == 0 ? len : std::min(warmTail, len);
     sim.run(len - tail);
-    for (InstCount i = 0; i < tail && !sim.halted(); ++i)
-        warmStep(warm, renamer, sim, prog, tid);
+    for (InstCount left = tail; left && !sim.halted();) {
+        const InstCount n = sim.trace(
+            std::min(left, func::kTraceChunkInsts), warm.trace.data());
+        for (InstCount i = 0; i < n; ++i) {
+            const func::TraceRecord &rec = warm.trace[i];
+            warm.apply(rec, prog.inst(rec.pc), renamer, tid);
+        }
+        left -= n;
+    }
 }
 
 /** Raw counters mirrored from runTiming(), in the same order. */

@@ -26,28 +26,34 @@ collectBbvs(const isa::Program &prog, InstCount intervalInsts,
     Addr blockLeader = prog.entry;
     InstCount blockLen = 0;
 
-    func::StepRecord rec;
-    while (sim.step(rec)) {
-        ++blockLen;
-        ++inInterval;
-        const bool endsBlock = prog.inst(rec.pc).isControl() ||
-                               rec.npc != rec.pc + 1;
-        if (endsBlock) {
-            current[blockLeader] += blockLen;
-            blockLeader = rec.npc;
-            blockLen = 0;
-        }
-        if (inInterval >= intervalInsts) {
-            if (blockLen) {
+    // A chunk may run past the last interval kept; the engine is
+    // local, so those instructions are simply dropped.
+    std::vector<func::TraceRecord> trace(func::kTraceChunkInsts);
+    while (const InstCount n =
+               sim.trace(func::kTraceChunkInsts, trace.data())) {
+        for (InstCount i = 0; i < n; ++i) {
+            const func::TraceRecord &rec = trace[i];
+            ++blockLen;
+            ++inInterval;
+            const bool endsBlock = prog.inst(rec.pc).isControl() ||
+                                   rec.npc != rec.pc + 1;
+            if (endsBlock) {
                 current[blockLeader] += blockLen;
-                blockLen = 0;
                 blockLeader = rec.npc;
+                blockLen = 0;
             }
-            bbvs.push_back(std::move(current));
-            current.clear();
-            inInterval = 0;
-            if (maxIntervals && bbvs.size() >= maxIntervals)
-                return bbvs;
+            if (inInterval >= intervalInsts) {
+                if (blockLen) {
+                    current[blockLeader] += blockLen;
+                    blockLen = 0;
+                    blockLeader = rec.npc;
+                }
+                bbvs.push_back(std::move(current));
+                current.clear();
+                inInterval = 0;
+                if (maxIntervals && bbvs.size() >= maxIntervals)
+                    return bbvs;
+            }
         }
     }
     if (blockLen)

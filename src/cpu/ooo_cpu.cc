@@ -319,12 +319,16 @@ OooCpu::switchIn(ThreadId tid, const func::ArchState &state,
 
     // Whole-page copy, zero words included: the functional run may
     // have overwritten an initialized word with zero, so a
-    // value-filtered copy would leave stale state behind.
+    // value-filtered copy would leave stale state behind. Relocation
+    // moves register space by whole pages, so each source page is one
+    // destination page.
     ts.memory->clear();
     funcMem.forEachPage([&](Addr base, const std::uint64_t *words) {
         const Addr dst = renamer_->relocateRegSpace(tid, base);
-        for (unsigned i = 0; i < mem::SparseMemory::wordsPerPage; ++i)
-            ts.memory->write(dst + Addr(i) * 8, words[i]);
+        if (dst % mem::SparseMemory::pageBytes)
+            panic("switchIn: relocated page 0x%llx is not page-aligned",
+                  (unsigned long long)dst);
+        ts.memory->writePage(dst, words);
     });
 
     ts.fetchPc = state.pc;

@@ -15,14 +15,9 @@ namespace layout = isa::layout;
 void
 loadProgramData(const isa::Program &prog, mem::SparseMemory &memory)
 {
-    for (const isa::DataSegment &seg : prog.data) {
-        Addr addr = seg.base;
-        for (std::uint64_t word : seg.words) {
-            if (word != 0)
-                memory.write(addr, word);
-            addr += 8;
-        }
-    }
+    for (const isa::DataSegment &seg : prog.data)
+        memory.writeNonzeroWords(seg.base, seg.words.data(),
+                                 seg.words.size());
 }
 
 FuncSim::FuncSim(const isa::Program &prog, mem::SparseMemory &memory)
@@ -123,8 +118,16 @@ FuncSim::step(StepRecord &rec)
     }
     const isa::StaticInst &si = prog_.inst(pc_);
     const unsigned dst = ops_[std::min<Addr>(pc_, ops_.size() - 1)].dst;
-    if (!execute<true>(1, &rec))
+    TraceRecord t;
+    if (!execute<true>(1, &t)) {
+        rec.pc = rec.npc = pc_;
+        rec.halted = true;
         return false;
+    }
+    rec.pc = t.pc;
+    rec.npc = t.npc;
+    rec.isMem = t.isMem;
+    rec.effAddr = t.effAddr;
     // Call writes ra as a side effect of the window shift, not as a
     // result, so it reports no destination.
     if (si.hasDest && !si.isCall) {
@@ -143,6 +146,12 @@ FuncSim::run(InstCount maxInsts)
     return stats_;
 }
 
+InstCount
+FuncSim::trace(InstCount maxInsts, TraceRecord *out)
+{
+    return halted_ ? 0 : execute<true>(maxInsts, out);
+}
+
 // One case per ALU/FP opcode, so each inlines only its own arithmetic.
 #define VCA_ALU_CASE(OPC)                                               \
       case Opcode::OPC:                                                 \
@@ -159,22 +168,18 @@ FuncSim::run(InstCount maxInsts)
         }                                                               \
         break;
 
-template <bool Record>
-bool
-FuncSim::execute(InstCount maxInsts, StepRecord *rec)
+template <bool Trace>
+InstCount
+FuncSim::execute(InstCount maxInsts, TraceRecord *out)
 {
     // The loop state lives in locals; it goes back to the members, and
-    // the written frame slots to memory, on the way out. A single step
-    // counts straight into stats_ rather than copying it in and out.
+    // the written frame slots to memory, on the way out.
     std::uint64_t *const r = regs_;
     const Op *const ops = ops_.data();
     const Addr haltPc = ops_.size() - 1;
     Addr pc = pc_;
     unsigned depth = depth_;
-    FuncSimStats local;
-    if constexpr (!Record)
-        local = stats_;
-    FuncSimStats &s = Record ? stats_ : local;
+    FuncSimStats s = stats_;
     std::uint64_t dirty = 0; ///< frame slots written since last stored
     InstCount left = maxInsts;
 
@@ -197,14 +202,17 @@ FuncSim::execute(InstCount maxInsts, StepRecord *rec)
         pc_ = pc;
         depth_ = depth;
         s.insts += maxInsts - left;
-        if constexpr (!Record)
-            stats_ = s;
+        stats_ = s;
+        return maxInsts - left;
     };
 
     for (; left; --left) {
         const Op &o = ops[std::min(pc, haltPc)];
-        if constexpr (Record)
-            rec->pc = pc;
+        if constexpr (Trace) {
+            out->pc = pc;
+            out->isMem = false;
+            out->effAddr = 0;
+        }
         Addr npc = pc + 1;
 
         switch (o.op) {
@@ -212,12 +220,7 @@ FuncSim::execute(InstCount maxInsts, StepRecord *rec)
             break;
           case Opcode::Halt:
             halted_ = true;
-            if constexpr (Record) {
-                rec->halted = true;
-                rec->npc = pc;
-            }
-            finish();
-            return false;
+            return finish();
 
           VCA_ALU_CASE(Add) VCA_ALU_CASE(Sub) VCA_ALU_CASE(Mul)
           VCA_ALU_CASE(Div) VCA_ALU_CASE(And) VCA_ALU_CASE(Or)
@@ -239,9 +242,9 @@ FuncSim::execute(InstCount maxInsts, StepRecord *rec)
                 syncFrame();
             set(o.dst, mem_.read(ea));
             ++s.loads;
-            if constexpr (Record) {
-                rec->isMem = true;
-                rec->effAddr = ea;
+            if constexpr (Trace) {
+                out->isMem = true;
+                out->effAddr = ea;
             }
             break;
           }
@@ -256,9 +259,9 @@ FuncSim::execute(InstCount maxInsts, StepRecord *rec)
             }
             mem_.write(ea, data);
             ++s.stores;
-            if constexpr (Record) {
-                rec->isMem = true;
-                rec->effAddr = ea;
+            if constexpr (Trace) {
+                out->isMem = true;
+                out->effAddr = ea;
             }
             break;
           }
@@ -294,11 +297,12 @@ FuncSim::execute(InstCount maxInsts, StepRecord *rec)
         }
 
         pc = npc;
-        if constexpr (Record)
-            rec->npc = npc;
+        if constexpr (Trace) {
+            out->npc = npc;
+            ++out;
+        }
     }
-    finish();
-    return true;
+    return finish();
 }
 
 #undef VCA_ALU_CASE

@@ -18,7 +18,10 @@
  *   - a sink that absent destinations (r0 writes, stores, branches)
  *     name;
  *   - under the windowed ABI, the current window frame's 47 slots.
- * step() and run() are the same loop over that image.
+ * The engine has two modes over that image: run(), which only executes,
+ * and trace(), which also records each executed instruction's pc, next
+ * pc and effective address into a caller buffer. step() is a
+ * one-instruction trace.
  *
  * Frame cache. Under the windowed ABI a windowed register lives at its
  * memory-mapped logical-register address (exactly the VCA model).
@@ -68,6 +71,26 @@ struct FuncSimStats
     unsigned maxCallDepth = 0;
 };
 
+/**
+ * One instruction executed in trace mode: what the warm model and BBV
+ * collection need of it. Everything else (store or load, branch kind)
+ * is a property of the static instruction at pc.
+ */
+struct TraceRecord
+{
+    Addr pc = 0;
+    Addr npc = 0;
+    bool isMem = false;
+    Addr effAddr = 0; ///< 8-byte aligned when isMem, else 0
+};
+
+/**
+ * Instructions the sampling layer traces per call: enough to amortize
+ * the call, few enough that the record buffer (128 KiB) stays in the
+ * host's L2.
+ */
+constexpr InstCount kTraceChunkInsts = 4096;
+
 /** Record of the most recently executed instruction (for co-sim). */
 struct StepRecord
 {
@@ -110,16 +133,30 @@ class FuncSim
      */
     FuncSim(const isa::Program &prog, mem::SparseMemory &memory);
 
-    /** Execute one instruction; fills rec. Returns false once halted. */
+    /**
+     * Execute one instruction (a one-instruction trace()); fills rec.
+     * Returns false once halted.
+     */
     bool step(StepRecord &rec);
 
     /**
      * Run until HALT or the instruction limit. Architecturally the same
-     * as that many step() calls, without the per-step records.
+     * as trace() of that many instructions, without the records.
      * @return cumulative statistics
      */
     FuncSimStats run(InstCount maxInsts =
                          std::numeric_limits<InstCount>::max());
+
+    /**
+     * Trace mode: run() that also appends one record per executed
+     * instruction to @p out, which must hold @p maxInsts records. HALT
+     * executes no instruction and is not recorded. Like every public
+     * member, the written frame slots reach memory only when the call
+     * returns, so the caller sees the image as of the last recorded
+     * instruction, not of each one.
+     * @return the number of records written (< maxInsts only on HALT)
+     */
+    InstCount trace(InstCount maxInsts, TraceRecord *out);
 
     /** Snapshot of the architectural register state (switch-in). */
     ArchState captureState() const;
@@ -170,12 +207,12 @@ class FuncSim
     void storeFrame(std::uint64_t dirty);
 
     /**
-     * The engine: execute up to maxInsts instructions from pc_. Record
-     * fills rec (one-instruction calls from step()). Returns false once
-     * halted.
+     * The engine: execute up to maxInsts instructions from pc_; Trace
+     * appends a record per instruction to out. Returns the number of
+     * instructions executed.
      */
-    template <bool Record>
-    bool execute(InstCount maxInsts, StepRecord *rec);
+    template <bool Trace>
+    InstCount execute(InstCount maxInsts, TraceRecord *out);
 
     const isa::Program &prog_;
     mem::SparseMemory &mem_;

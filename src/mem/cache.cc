@@ -47,9 +47,8 @@ Cache::fillLatency(Addr addr, bool write, Cycle now)
 }
 
 AccessResult
-Cache::access(Addr addr, bool write, Cycle now)
+Cache::accessSet(Addr line, Addr addr, bool write, Cycle now)
 {
-    const Addr line = lineAddr(addr);
     const size_t set = setIndex(line);
     Line *ways = &lines_[set * params_.assoc];
 
@@ -66,14 +65,11 @@ Cache::access(Addr addr, bool write, Cycle now)
     // Tag check.
     for (unsigned w = 0; w < params_.assoc; ++w) {
         if (ways[w].valid && ways[w].tag == line) {
-            ++accesses;
-            ++hits;
-            ways[w].lruStamp = ++stamp_;
-            if (write)
-                ways[w].dirty = true;
-            return {true, true, params_.hitLatency};
+            setMru(&ways[w], line);
+            return hit(ways[w], write);
         }
     }
+    setMru(nullptr, 0);
 
     // Miss. Merge with an in-flight fill for the same line if present.
     auto inflightIt = inflight_.find(line);
@@ -129,6 +125,7 @@ Cache::access(Addr addr, bool write, Cycle now)
     victim->tag = line;
     victim->lruStamp = ++stamp_;
     inflight_[line] = now + total;
+    setMru(victim, line);
 
     return {true, false, total};
 }
@@ -139,6 +136,7 @@ Cache::invalidateAll()
     for (Line &l : lines_)
         l = Line{};
     inflight_.clear();
+    setMru(nullptr, 0);
     if (next_)
         next_->invalidateAll();
 }
@@ -155,6 +153,7 @@ Cache::copyStateFrom(const Cache &other)
     lines_ = other.lines_;
     stamp_ = other.stamp_;
     inflight_.clear();
+    setMru(nullptr, 0);
 }
 
 MemSystem::MemSystem(const MemSystemParams &params, stats::StatGroup *parent)
@@ -163,18 +162,6 @@ MemSystem::MemSystem(const MemSystemParams &params, stats::StatGroup *parent)
       il1_(params.il1, &l2_, params.memLatency, this),
       dl1_(params.dl1, &l2_, params.memLatency, this)
 {
-}
-
-AccessResult
-MemSystem::instAccess(Addr addr, Cycle now)
-{
-    return il1_.access(addr, false, now);
-}
-
-AccessResult
-MemSystem::dataAccess(Addr addr, bool write, Cycle now)
-{
-    return dl1_.access(addr, write, now);
 }
 
 void

@@ -55,9 +55,21 @@ class Cache : public stats::StatGroup
      * Perform a timing access.
      * @param addr   byte address (already thread-tagged for SMT)
      * @param write  true for stores / spills
-     * @param now    current cycle
+     * @param now    current cycle, never less than the last access's
      */
-    AccessResult access(Addr addr, bool write, Cycle now);
+    AccessResult
+    access(Addr addr, bool write, Cycle now)
+    {
+        // MRU fast path: the line the last accepted access hit or
+        // installed is still valid under the same tag. Retiring
+        // in-flight fills is skipped too: now never decreases for a
+        // cache, so the next full access retires the same entries plus
+        // any completed since.
+        const Addr line = lineAddr(addr);
+        if (mru_ && line == mruLine_)
+            return hit(*mru_, write);
+        return accessSet(line, addr, write, now);
+    }
 
     /** Invalidate all tags (used between warm-up configurations). */
     void invalidateAll();
@@ -130,8 +142,36 @@ class Cache : public stats::StatGroup
         return setMask_ ? (line & setMask_) : (line % numSets_);
     }
 
+    /** access() past the MRU fast path: retire completed fills, check
+     *  the tags of @p line's set, and handle a miss. */
+    AccessResult accessSet(Addr line, Addr addr, bool write, Cycle now);
+
     /** Latency for fetching a line from the next level downward. */
     Cycle fillLatency(Addr addr, bool write, Cycle now);
+
+    /**
+     * Hit bookkeeping on @p l, shared by the MRU fast path and the tag
+     * check. A line installed by a miss still in flight is a hit here
+     * too (it costs hitLatency, not the rest of the fill).
+     */
+    AccessResult
+    hit(Line &l, bool write)
+    {
+        ++accesses;
+        ++hits;
+        l.lruStamp = ++stamp_;
+        if (write)
+            l.dirty = true;
+        return {true, true, params_.hitLatency};
+    }
+
+    /** Point the MRU fast path at @p l, holding @p line (or at nothing). */
+    void
+    setMru(Line *l, Addr line)
+    {
+        mru_ = l;
+        mruLine_ = line;
+    }
 
     CacheParams params_;
     Cache *next_;
@@ -141,6 +181,14 @@ class Cache : public stats::StatGroup
     Addr setMask_ = 0; ///< numSets_-1 when a power of two, else 0
     std::vector<Line> lines_; ///< numSets x assoc
     Cycle stamp_ = 0;
+
+    /**
+     * The line of the last accepted access when it is in lines_ (a hit
+     * or a newly installed miss), else null. Every path that can change
+     * that line's way goes through access() and moves or clears it.
+     */
+    Line *mru_ = nullptr;
+    Addr mruLine_ = 0;
 
     /** In-flight misses: line address -> cycle the fill completes. */
     std::unordered_map<Addr, Cycle> inflight_;
@@ -167,8 +215,17 @@ class MemSystem : public stats::StatGroup
     explicit MemSystem(const MemSystemParams &params,
                        stats::StatGroup *parent = nullptr);
 
-    AccessResult instAccess(Addr addr, Cycle now);
-    AccessResult dataAccess(Addr addr, bool write, Cycle now);
+    AccessResult
+    instAccess(Addr addr, Cycle now)
+    {
+        return il1_.access(addr, false, now);
+    }
+
+    AccessResult
+    dataAccess(Addr addr, bool write, Cycle now)
+    {
+        return dl1_.access(addr, write, now);
+    }
 
     void invalidateAll();
 

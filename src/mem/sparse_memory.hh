@@ -91,6 +91,50 @@ class SparseMemory
         }
     }
 
+    /**
+     * Overwrite the whole page at page-aligned @p base with
+     * wordsPerPage words from @p words, creating it if absent: the same
+     * image and page set as writing every word, zeros included.
+     */
+    void
+    writePage(Addr base, const std::uint64_t *words)
+    {
+        auto [it, inserted] = pages_.try_emplace(pageNumber(base));
+        if (inserted)
+            it->second.assign(words, words + wordsPerPage);
+        else // in place: cached word pointers stay valid
+            std::copy_n(words, wordsPerPage, it->second.data());
+    }
+
+    /**
+     * Write the nonzero words of @p words[0, n) to consecutive words
+     * from @p addr, a page at a time. Zero words are not written, so a
+     * page is created only where some word is nonzero and whatever a
+     * zero word lands on survives: the same image and page set as
+     * write() of each nonzero word.
+     */
+    void
+    writeNonzeroWords(Addr addr, const std::uint64_t *words, size_t n)
+    {
+        while (n) {
+            const unsigned first = wordIndex(addr);
+            const size_t count =
+                std::min<size_t>(n, wordsPerPage - first);
+            const std::uint64_t *end = words + count;
+            const std::uint64_t *w = std::find_if(
+                words, end, [](std::uint64_t v) { return v != 0; });
+            if (w != end) {
+                std::uint64_t *dst = getPage(addr).data() + first;
+                for (; w != end; ++w)
+                    if (*w)
+                        dst[w - words] = *w;
+            }
+            addr += Addr(count) * 8;
+            words = end;
+            n -= count;
+        }
+    }
+
     /** Read as IEEE double (bit pattern reinterpretation). */
     double
     readDouble(Addr addr) const

@@ -482,6 +482,88 @@ TEST(FuncSim, OffImagePcHalts)
     EXPECT_EQ(sim.stats().insts, 2u);
 }
 
+TEST(FuncSim, TraceRecordsEachInstructionButNotHalt)
+{
+    AsmBuilder b;
+    b.addi(4, regZero, 4096);
+    b.st(4, 4, 8);
+    b.ld(5, 4, 8);
+    b.halt();
+    mem::SparseMemory m;
+    const isa::Program p = makeProgram(b);
+    func::FuncSim sim(p, m);
+    std::vector<func::TraceRecord> trace(10);
+    ASSERT_EQ(sim.trace(10, trace.data()), 3u);
+    for (Addr pc = 0; pc < 3; ++pc) {
+        EXPECT_EQ(trace[pc].pc, pc);
+        EXPECT_EQ(trace[pc].npc, pc + 1);
+        EXPECT_EQ(trace[pc].isMem, pc != 0);
+        EXPECT_EQ(trace[pc].effAddr, pc != 0 ? 4104u : 0u);
+    }
+    EXPECT_TRUE(sim.halted());
+    EXPECT_EQ(sim.pc(), 3u);
+    EXPECT_EQ(sim.stats().insts, 3u);
+    EXPECT_EQ(sim.readIntReg(5), 4096u);
+    EXPECT_EQ(sim.trace(10, trace.data()), 0u);
+    EXPECT_EQ(sim.stats().insts, 3u);
+}
+
+TEST(FuncSim, LoadProgramDataWritesOnlyNonzeroWords)
+{
+    // The chunked loader must give the image and page set of writing
+    // each nonzero word: a page is created only for a nonzero word, and
+    // a zero in a segment leaves a pre-populated word alone.
+    constexpr unsigned wordsPerPage = mem::SparseMemory::wordsPerPage;
+    isa::Program p;
+    Rng rng(99);
+    // Three pages' worth of words from mid-page, so spanning four
+    // pages: nonzero words, then a whole page of zeros (no page may
+    // appear for it), then sparse nonzero words.
+    isa::DataSegment mixed;
+    mixed.base = 0x40'0000 + 200 * 8;
+    mixed.words.assign(3 * wordsPerPage, 0);
+    for (unsigned i = 0; i < 300; ++i)
+        mixed.words[i] = rng.next() | 1;
+    for (unsigned i = 312 + wordsPerPage; i < mixed.words.size(); i += 7)
+        mixed.words[i] = rng.next() | 1;
+    p.data.push_back(mixed);
+    // All zeros: no page at all.
+    isa::DataSegment zeros;
+    zeros.base = 0x80'0000;
+    zeros.words.assign(2 * wordsPerPage, 0);
+    p.data.push_back(zeros);
+    // Over a pre-populated page: zeros in the segment where the page
+    // holds nonzero words.
+    isa::DataSegment over;
+    over.base = 0xc0'0000;
+    over.words.assign(wordsPerPage, 0);
+    for (unsigned i = 0; i < wordsPerPage; i += 2)
+        over.words[i] = rng.next() | 1;
+    p.data.push_back(over);
+
+    mem::SparseMemory loaded, reference;
+    for (mem::SparseMemory *m : {&loaded, &reference})
+        for (unsigned i = 1; i < wordsPerPage; i += 2)
+            m->write(over.base + i * 8, 0x5000 + i);
+    func::loadProgramData(p, loaded);
+    for (const isa::DataSegment &seg : p.data)
+        for (size_t i = 0; i < seg.words.size(); ++i)
+            if (seg.words[i])
+                reference.write(seg.base + i * 8, seg.words[i]);
+
+    EXPECT_EQ(loaded.allocatedPages(), reference.allocatedPages());
+    EXPECT_EQ(loaded.allocatedPages(), 4u); // 3 from mixed, 1 from over
+    unsigned mismatches = 0;
+    reference.forEachPage([&](Addr base, const std::uint64_t *words) {
+        for (unsigned i = 0; i < wordsPerPage; ++i)
+            if (loaded.read(base + i * 8) != words[i])
+                ++mismatches;
+    });
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_EQ(loaded.read(over.base + 8), 0x5001u);
+    EXPECT_EQ(loaded.read(zeros.base), 0u);
+}
+
 // ---------------------------------------------------------------------
 // Frame-cache coherence: under the windowed ABI the engine holds the
 // current frame in host slots; loads, stores and the memory image must
@@ -691,6 +773,53 @@ TEST(FuncSim, RunChunksAndStepsAgreeOnGeneratedProfiles)
             expectSameState(once, steps, label + " steps");
             expectSameImage(mOnce, mChunks, label + " chunks");
             expectSameImage(mOnce, mSteps, label + " steps");
+        }
+    }
+}
+
+TEST(FuncSim, TraceChunksMatchStepsOnGeneratedProfiles)
+{
+    // trace() in random chunk sizes records exactly what N step() calls
+    // report, and ends in run(N)'s statistics, architectural state and
+    // memory image, down to which pages exist.
+    constexpr InstCount kInsts = 20'000;
+    Rng rng(2025);
+    for (const wload::BenchProfile &prof : wload::spec2000Profiles()) {
+        for (const bool windowed : {false, true}) {
+            const std::string label =
+                prof.name + (windowed ? "/windowed" : "/flat");
+            const isa::Program &prog =
+                *wload::cachedProgram(prof, windowed);
+            mem::SparseMemory mOnce, mTrace, mSteps;
+            func::FuncSim once(prog, mOnce);
+            func::FuncSim traced(prog, mTrace);
+            func::FuncSim steps(prog, mSteps);
+
+            once.run(kInsts);
+            // Garbage in every slot: each record must be written whole.
+            std::vector<func::TraceRecord> trace(
+                kInsts, func::TraceRecord{~Addr(0), ~Addr(0), true,
+                                          ~Addr(0)});
+            for (InstCount done = 0; done < kInsts;) {
+                const InstCount n =
+                    std::min<InstCount>(1 + rng.below(4999), kInsts - done);
+                ASSERT_EQ(traced.trace(n, trace.data() + done), n)
+                    << label;
+                done += n;
+            }
+            unsigned mismatches = 0;
+            func::StepRecord rec;
+            for (InstCount i = 0; i < kInsts; ++i) {
+                ASSERT_TRUE(steps.step(rec)) << label;
+                const func::TraceRecord &t = trace[i];
+                if (t.pc != rec.pc || t.npc != rec.npc ||
+                    t.isMem != rec.isMem || t.effAddr != rec.effAddr)
+                    ++mismatches;
+            }
+            EXPECT_EQ(mismatches, 0u) << label;
+
+            expectSameState(once, traced, label + " trace");
+            expectSameImage(mOnce, mTrace, label + " trace");
         }
     }
 }

@@ -139,6 +139,114 @@ TEST_F(CacheTest, InvalidateAllForgetsEverything)
     EXPECT_FALSE(r.hit);
 }
 
+// The MRU fast path answers a repeat of the last accepted access's line
+// without a tag check. Each case below moves or clears the remembered
+// line; a re-access that the tag check would miss must still miss, and
+// the counters must match a full tag check's.
+class MruTest : public ::testing::Test
+{
+  protected:
+    // A direct-mapped 4 KiB L1 (64 sets, so lines 4 KiB apart share a
+    // set) with 4 MSHRs, in front of an L2.
+    MruTest()
+        : root_("root"),
+          l2_({"l2", 64 * 1024, 4, 64, 15, 32}, nullptr, 250, &root_),
+          l1_({"l1", 4 * 1024, 1, 64, 3, 4}, &l2_, 250, &root_)
+    {
+    }
+
+    void
+    expectCounts(double accesses, double hits, double misses)
+    {
+        EXPECT_DOUBLE_EQ(l1_.accesses.value(), accesses);
+        EXPECT_DOUBLE_EQ(l1_.hits.value(), hits);
+        EXPECT_DOUBLE_EQ(l1_.misses.value(), misses);
+    }
+
+    stats::StatGroup root_;
+    Cache l2_;
+    Cache l1_;
+};
+
+TEST_F(MruTest, RepeatedLineHits)
+{
+    EXPECT_FALSE(l1_.access(0x1000, false, 0).hit);
+    const AccessResult r = l1_.access(0x1038, true, 1);
+    EXPECT_TRUE(r.hit);
+    EXPECT_EQ(r.latency, 3u);
+    EXPECT_TRUE(l1_.access(0x1000, false, 2).hit);
+    expectCounts(3, 2, 1);
+    // The fast path's write marked the line dirty: evicting it writes
+    // it back.
+    l1_.access(0x2000, false, 1000);
+    EXPECT_DOUBLE_EQ(l1_.writebacks.value(), 1.0);
+}
+
+TEST_F(MruTest, CopyStateFromColdCacheForgetsTheLine)
+{
+    stats::StatGroup coldRoot("cold");
+    Cache cold({"l1", 4 * 1024, 1, 64, 3, 4}, nullptr, 250, &coldRoot);
+    l1_.access(0x1000, false, 0);
+    EXPECT_TRUE(l1_.access(0x1000, false, 1000).hit);
+    l1_.copyStateFrom(cold);
+    EXPECT_FALSE(l1_.access(0x1000, false, 2000).hit);
+    expectCounts(3, 1, 2);
+}
+
+TEST_F(MruTest, InvalidateAllForgetsTheLine)
+{
+    l1_.access(0x1000, false, 0);
+    EXPECT_TRUE(l1_.access(0x1000, false, 1000).hit);
+    l1_.invalidateAll();
+    EXPECT_FALSE(l1_.access(0x1000, false, 2000).hit);
+    expectCounts(3, 1, 2);
+}
+
+TEST_F(MruTest, EvictionByAMissInTheSameSetMovesTheLine)
+{
+    // 0x1000 and 0x2000 share the only way of set 0x1000 / 64 % 64.
+    l1_.access(0x1000, false, 0);
+    EXPECT_TRUE(l1_.access(0x1000, false, 1000).hit);
+    EXPECT_FALSE(l1_.access(0x2000, false, 2000).hit); // evicts 0x1000
+    EXPECT_FALSE(l1_.access(0x1000, false, 3000).hit);
+    EXPECT_FALSE(l1_.access(0x2000, false, 4000).hit);
+    expectCounts(5, 1, 4);
+}
+
+TEST_F(MruTest, MshrRejectClearsTheLine)
+{
+    // Four distinct-line misses fill the 4 MSHRs; the fifth line is
+    // rejected, and stays rejected, not a hit, while they are in
+    // flight.
+    for (unsigned i = 0; i < 4; ++i)
+        EXPECT_FALSE(l1_.access(0x10000 + i * 64, false, 0).hit);
+    const Addr rejected = 0x10000 + 4 * 64;
+    EXPECT_FALSE(l1_.access(rejected, false, 0).accepted);
+    EXPECT_FALSE(l1_.access(rejected, false, 1).accepted);
+    EXPECT_DOUBLE_EQ(l1_.mshrRejects.value(), 2.0);
+    expectCounts(4, 0, 4);
+    // Once the fills retire it misses like any other cold line.
+    const AccessResult r = l1_.access(rejected, false, 10'000);
+    EXPECT_TRUE(r.accepted);
+    EXPECT_FALSE(r.hit);
+    expectCounts(5, 0, 5);
+}
+
+TEST_F(MruTest, MergeClearsTheLine)
+{
+    // 0x1000's fill is still in flight when 0x2000 evicts its tag, so
+    // the re-accesses merge into that fill: misses, never hits.
+    const AccessResult r1 = l1_.access(0x1000, false, 0);
+    l1_.access(0x2000, false, 1);
+    const AccessResult m1 = l1_.access(0x1000, false, 2);
+    const AccessResult m2 = l1_.access(0x1008, false, 3);
+    EXPECT_FALSE(m1.hit);
+    EXPECT_FALSE(m2.hit);
+    EXPECT_EQ(m1.latency, r1.latency - 2);
+    EXPECT_EQ(m2.latency, r1.latency - 3);
+    expectCounts(4, 0, 4);
+}
+
 TEST(MemSystem, ThreadTagSeparatesSpaces)
 {
     const Addr a = MemSystem::threadTag(0, 0x1000);

@@ -411,6 +411,83 @@ TEST(SparseMemory, ReadWordsMatchesReadAndCreatesNoPage)
     EXPECT_EQ(m.allocatedPages(), pages);
 }
 
+/** Same pages, and the same words in each, in @p a and @p b. */
+void
+expectSameImage(const mem::SparseMemory &a, const mem::SparseMemory &b)
+{
+    ASSERT_EQ(a.allocatedPages(), b.allocatedPages());
+    unsigned mismatches = 0;
+    a.forEachPage([&](Addr base, const std::uint64_t *words) {
+        std::vector<std::uint64_t> other(mem::SparseMemory::wordsPerPage);
+        b.readWords(base, mem::SparseMemory::wordsPerPage, other.data());
+        for (unsigned i = 0; i < mem::SparseMemory::wordsPerPage; ++i)
+            if (other[i] != words[i])
+                ++mismatches;
+    });
+    EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(SparseMemory, WritePageMatchesWordWrites)
+{
+    // Switch-in copies pages whole: one writePage must equal 512
+    // write()s, zeros included, over an absent page, an all-zero source
+    // page and a pre-populated page whose stale words must not survive.
+    constexpr Addr pageBytes = mem::SparseMemory::pageBytes;
+    constexpr unsigned wordsPerPage = mem::SparseMemory::wordsPerPage;
+    Rng rng(11);
+    mem::SparseMemory paged, worded;
+    for (mem::SparseMemory *m : {&paged, &worded}) {
+        for (unsigned i = 0; i < wordsPerPage; ++i)
+            m->write(5 * pageBytes + i * 8, 0xdead0000 + i);
+        m->write(9 * pageBytes, 1);
+    }
+    std::vector<std::uint64_t> words(wordsPerPage);
+    for (Addr page : {Addr(2), Addr(5), Addr(7)}) {
+        for (std::uint64_t &w : words)
+            w = page == 7 || rng.below(3) == 0 ? 0 : rng.next();
+        const Addr base = page * pageBytes;
+        paged.read(base); // cache the page pointer where it exists
+        paged.writePage(base, words.data());
+        for (unsigned i = 0; i < wordsPerPage; ++i)
+            worded.write(base + i * 8, words[i]);
+        EXPECT_EQ(paged.read(base + 8), words[1]) << "page " << page;
+    }
+    EXPECT_EQ(paged.allocatedPages(), 4u);
+    expectSameImage(paged, worded);
+}
+
+TEST(SparseMemory, WriteNonzeroWordsMatchesNonzeroWordWrites)
+{
+    // Random spans, unaligned to pages and often all zero across whole
+    // pages, over a partly pre-populated image: the same image and page
+    // set as write() of each nonzero word.
+    constexpr Addr pageBytes = mem::SparseMemory::pageBytes;
+    Rng rng(13);
+    for (int trial = 0; trial < 200; ++trial) {
+        mem::SparseMemory chunked, worded;
+        for (mem::SparseMemory *m : {&chunked, &worded})
+            for (Addr page : {Addr(1), Addr(4)})
+                for (unsigned i = 0; i < 64; ++i)
+                    m->write(page * pageBytes + i * 64, 0x7000 + i);
+        const Addr addr = static_cast<Addr>(rng.range(0, 5 * 512)) * 8;
+        std::vector<std::uint64_t> words(rng.range(0, 1500), 0);
+        // All zero, sparse (1 in 1024: whole zero pages) or dense.
+        const std::uint64_t kind = rng.below(3);
+        for (std::uint64_t &w : words) {
+            const bool nonzero = kind == 1 ? rng.below(1024) == 0
+                                           : kind == 2 && rng.below(4);
+            if (nonzero)
+                w = rng.next() | 1;
+        }
+        chunked.writeNonzeroWords(addr, words.data(), words.size());
+        for (size_t i = 0; i < words.size(); ++i)
+            if (words[i])
+                worded.write(addr + i * 8, words[i]);
+        SCOPED_TRACE(trial);
+        expectSameImage(chunked, worded);
+    }
+}
+
 TEST(SparseMemory, ConflictingPagesShareACacheSlot)
 {
     mem::SparseMemory m;
