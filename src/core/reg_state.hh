@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "sim/logging.hh"
+#include "sim/lru_clock.hh"
 #include "sim/types.hh"
 
 namespace vca::core {
@@ -55,28 +56,73 @@ struct PhysState
 };
 
 /**
- * The full register-state array plus the free list and a clock-hand
- * LRU-approximating victim scanner.
+ * The full register-state array plus the free list and an exact-LRU
+ * victim scanner.
+ *
+ * Writes go through edit(), whose guard re-classifies the register
+ * when it ends: the array keeps the set of evictable registers and a
+ * count of the clean ones, so findVictim() answers "no victim" (the
+ * common case under register pressure) without scanning, and
+ * otherwise scans only the evictable registers.
  */
 class RegStateArray
 {
   public:
-    explicit RegStateArray(unsigned numRegs) : state_(numRegs)
+    /** Write access to one register for the guard's lifetime. */
+    class Edit
     {
+      public:
+        Edit(RegStateArray &array, size_t index)
+            : array_(array), index_(index)
+        {
+        }
+        ~Edit() { array_.reclassify(index_); }
+        Edit(const Edit &) = delete;
+        Edit &operator=(const Edit &) = delete;
+
+        PhysState *operator->() const { return &array_.state_[index_]; }
+        PhysState &operator*() const { return array_.state_[index_]; }
+
+      private:
+        RegStateArray &array_;
+        size_t index_;
+    };
+
+    explicit RegStateArray(unsigned numRegs)
+        : state_(numRegs), class_(numRegs, 0), evictablePos_(numRegs, 0)
+    {
+        evictable_.reserve(numRegs);
         for (unsigned p = 0; p < numRegs; ++p)
             freeList_.push_back(static_cast<PhysRegIndex>(p));
     }
 
-    PhysState &operator[](PhysRegIndex p) { return state_[check(p)]; }
     const PhysState &
     operator[](PhysRegIndex p) const
     {
         return state_[check(p)];
     }
 
+    Edit edit(PhysRegIndex p) { return Edit(*this, check(p)); }
+
     unsigned numRegs() const { return state_.size(); }
     bool hasFree() const { return !freeList_.empty(); }
     unsigned numFree() const { return freeList_.size(); }
+
+    /** Registers findVictim(false) / findVictim(true) may return. */
+    unsigned numEvictable() const { return evictable_.size(); }
+    unsigned numCleanEvictable() const { return numCleanEvictable_; }
+
+    /** First register whose counted class disagrees with its state
+     *  (a write that bypassed edit()), or invalidPhysReg. */
+    PhysRegIndex
+    misclassified() const
+    {
+        for (size_t i = 0; i < state_.size(); ++i) {
+            if (class_[i] != victimClass(state_[i]))
+                return static_cast<PhysRegIndex>(i);
+        }
+        return invalidPhysReg;
+    }
 
     PhysRegIndex
     popFree()
@@ -91,47 +137,48 @@ class RegStateArray
     void
     pushFree(PhysRegIndex p)
     {
-        state_[check(p)].clear();
+        const size_t i = check(p);
+        state_[i].clear();
+        reclassify(i);
         freeList_.push_back(p);
     }
 
-    void touch(PhysRegIndex p) { state_[check(p)].lru = ++stamp_; }
+    void touch(PhysRegIndex p) { clock_.stamp(state_[check(p)].lru); }
+
+    LruClock &clock() { return clock_; }
+    const LruClock &clock() const { return clock_; }
 
     /**
-     * Pick a replacement victim approximating LRU with a clock hand.
-     * Registers with a dispatched overwriting instruction are skipped
-     * in the first pass ("lowest priority for replacement", §2.1.2);
-     * if requireClean is set, dirty registers are also skipped (used
+     * Pick the least recently used evictable register. Registers with
+     * a dispatched overwriting instruction are skipped in the first
+     * pass ("lowest priority for replacement", §2.1.2); if
+     * requireClean is set, dirty registers are also skipped (used
      * when no spill can be enqueued this cycle).
      *
      * @return invalidPhysReg if no eligible victim exists
      */
     PhysRegIndex
-    findVictim(bool requireClean)
+    findVictim(bool requireClean) const
     {
+        if (requireClean ? numCleanEvictable_ == 0 : evictable_.empty())
+            return invalidPhysReg;
         PhysRegIndex best = invalidPhysReg;
-        std::uint64_t bestLru = ~std::uint64_t(0);
         PhysRegIndex fallback = invalidPhysReg;
-        std::uint64_t fallbackLru = ~std::uint64_t(0);
-        const unsigned n = state_.size();
-        // Exact LRU over the (small) register file: the replacement
+        // Exact LRU over the evictable registers: the replacement
         // quality directly sets the fill rate, which Figures 5 and 7
-        // are sensitive to.
-        for (unsigned i = 0; i < n; ++i) {
-            const PhysState &s = state_[i];
-            if (!s.evictable())
-                continue;
+        // are sensitive to. Equal stamps (dead-value hints zero them)
+        // go to the lowest index.
+        const auto older = [&](PhysRegIndex a, PhysRegIndex b) {
+            return b == invalidPhysReg || state_[a].lru < state_[b].lru ||
+                   (state_[a].lru == state_[b].lru && a < b);
+        };
+        for (PhysRegIndex p : evictable_) {
+            const PhysState &s = state_[p];
             if (requireClean && s.dirty)
                 continue;
-            if (s.overwriters == 0) {
-                if (s.lru < bestLru) {
-                    bestLru = s.lru;
-                    best = static_cast<PhysRegIndex>(i);
-                }
-            } else if (s.lru < fallbackLru) {
-                fallbackLru = s.lru;
-                fallback = static_cast<PhysRegIndex>(i);
-            }
+            PhysRegIndex &slot = s.overwriters == 0 ? best : fallback;
+            if (older(p, slot))
+                slot = p;
         }
         return best != invalidPhysReg ? best : fallback;
     }
@@ -150,6 +197,41 @@ class RegStateArray
     }
 
   private:
+    static constexpr std::uint8_t evictableBit = 1;
+    static constexpr std::uint8_t cleanBit = 2;
+
+    static std::uint8_t
+    victimClass(const PhysState &s)
+    {
+        if (!s.evictable())
+            return 0;
+        return s.dirty ? evictableBit : evictableBit | cleanBit;
+    }
+
+    void
+    reclassify(size_t i)
+    {
+        const std::uint8_t now = victimClass(state_[i]);
+        const std::uint8_t was = class_[i];
+        if (now == was)
+            return;
+        class_[i] = now;
+        numCleanEvictable_ += (now & cleanBit) != 0;
+        numCleanEvictable_ -= (was & cleanBit) != 0;
+        if ((now ^ was) & evictableBit) {
+            if (now & evictableBit) {
+                evictablePos_[i] = evictable_.size();
+                evictable_.push_back(static_cast<PhysRegIndex>(i));
+            } else {
+                // Swap-remove: the set's order does not matter.
+                const PhysRegIndex last = evictable_.back();
+                evictable_[evictablePos_[i]] = last;
+                evictablePos_[last] = evictablePos_[i];
+                evictable_.pop_back();
+            }
+        }
+    }
+
     size_t
     check(PhysRegIndex p) const
     {
@@ -159,8 +241,12 @@ class RegStateArray
     }
 
     std::vector<PhysState> state_;
+    std::vector<std::uint8_t> class_; ///< victimClass() when last edited
     std::vector<PhysRegIndex> freeList_;
-    std::uint64_t stamp_ = 0;
+    std::vector<PhysRegIndex> evictable_;  ///< class_ has evictableBit
+    std::vector<unsigned> evictablePos_;   ///< index into evictable_
+    unsigned numCleanEvictable_ = 0;
+    LruClock clock_;
 };
 
 } // namespace vca::core

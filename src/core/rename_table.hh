@@ -18,12 +18,13 @@
 #ifndef VCA_CORE_RENAME_TABLE_HH
 #define VCA_CORE_RENAME_TABLE_HH
 
-#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "sim/logging.hh"
+#include "sim/lru_clock.hh"
 #include "sim/types.hh"
 
 namespace vca::core {
@@ -52,8 +53,11 @@ class RenameTable
     RenameTable(unsigned sets, unsigned assoc)
         : sets_(sets), assoc_(assoc)
     {
-        if (sets_ > 0)
+        if (sets_ > 0) {
             entries_.resize(size_t(sets_) * assoc_);
+            tags_.resize(entries_.size(), invalidAddr);
+            byLru_.resize(assoc_);
+        }
     }
 
     bool unbounded() const { return sets_ == 0; }
@@ -79,14 +83,15 @@ class RenameTable
             auto it = map_.find(addr);
             if (it == map_.end() || !it->second.valid)
                 return nullptr;
-            it->second.lru = ++stamp_;
+            clock_.stamp(it->second.lru);
             return &it->second;
         }
-        TableEntry *ways = &entries_[setIndex(addr) * assoc_];
+        const size_t set = setIndex(addr) * assoc_;
         for (unsigned w = 0; w < assoc_; ++w) {
-            if (ways[w].valid && ways[w].addr == addr) {
-                ways[w].lru = ++stamp_;
-                return &ways[w];
+            TableEntry &way = entries_[set + w];
+            if (tags_[set + w] == addr && way.valid) {
+                clock_.stamp(way.lru);
+                return &way;
             }
         }
         return nullptr;
@@ -98,34 +103,36 @@ class RenameTable
     {
         if (unbounded())
             return &map_[addr]; // creates an invalid entry in place
-        TableEntry *ways = &entries_[setIndex(addr) * assoc_];
+        const size_t set = setIndex(addr) * assoc_;
         for (unsigned w = 0; w < assoc_; ++w) {
-            if (!ways[w].valid)
-                return &ways[w];
+            if (tags_[set + w] == invalidAddr)
+                return &entries_[set + w];
         }
         return nullptr;
     }
 
     /**
      * All valid ways in addr's set ordered by ascending LRU stamp
-     * (replacement candidates; caller filters by evictability).
+     * (replacement candidates; caller filters by evictability). The
+     * view is into a buffer sized to the associativity, valid until
+     * the next call. Stamps are unique, so the order has no ties.
      */
-    std::vector<TableEntry *>
+    std::span<TableEntry *const>
     waysByLru(Addr addr)
     {
-        std::vector<TableEntry *> out;
         if (unbounded())
-            return out;
+            return {};
         TableEntry *ways = &entries_[setIndex(addr) * assoc_];
+        size_t n = 0;
         for (unsigned w = 0; w < assoc_; ++w) {
-            if (ways[w].valid)
-                out.push_back(&ways[w]);
+            if (!ways[w].valid)
+                continue;
+            size_t i = n++;
+            for (; i > 0 && byLru_[i - 1]->lru > ways[w].lru; --i)
+                byLru_[i] = byLru_[i - 1];
+            byLru_[i] = &ways[w];
         }
-        std::sort(out.begin(), out.end(),
-                  [](const TableEntry *a, const TableEntry *b) {
-                      return a->lru < b->lru;
-                  });
-        return out;
+        return {byLru_.data(), n};
     }
 
     void
@@ -136,16 +143,20 @@ class RenameTable
         entry->rsid = rsid;
         entry->front = invalidPhysReg;
         entry->commit = invalidPhysReg;
-        entry->lru = ++stamp_;
+        clock_.stamp(entry->lru);
+        if (!unbounded())
+            tags_[entry - entries_.data()] = addr;
     }
 
     void
     invalidate(TableEntry *entry)
     {
+        clock_.forget(entry->lru);
         if (unbounded()) {
             map_.erase(entry->addr);
             return;
         }
+        tags_[entry - entries_.data()] = invalidAddr;
         *entry = TableEntry{};
     }
 
@@ -154,18 +165,20 @@ class RenameTable
     void
     forEach(Fn fn)
     {
-        if (unbounded()) {
-            for (auto &[addr, e] : map_) {
-                if (e.valid)
-                    fn(e);
-            }
-            return;
-        }
-        for (TableEntry &e : entries_) {
-            if (e.valid)
-                fn(e);
-        }
+        forEachIn(*this, fn);
     }
+    template <typename Fn>
+    void
+    forEach(Fn fn) const
+    {
+        forEachIn(*this, fn);
+    }
+
+    /** Every way of a bounded table, valid or not, in index order. */
+    const std::vector<TableEntry> &ways() const { return entries_; }
+
+    LruClock &clock() { return clock_; }
+    const LruClock &clock() const { return clock_; }
 
     /** Number of valid entries (stats / tests). */
     size_t
@@ -182,11 +195,32 @@ class RenameTable
     }
 
   private:
+    template <typename Self, typename Fn>
+    static void
+    forEachIn(Self &self, Fn &fn)
+    {
+        if (self.unbounded()) {
+            for (auto &[addr, e] : self.map_) {
+                if (e.valid)
+                    fn(e);
+            }
+            return;
+        }
+        for (auto &e : self.entries_) {
+            if (e.valid)
+                fn(e);
+        }
+    }
+
     unsigned sets_;
     unsigned assoc_;
     std::vector<TableEntry> entries_;
+    // Each way's address (invalidAddr when invalid), so a lookup or a
+    // free-way search reads one dense line per set, not every entry.
+    std::vector<Addr> tags_;
+    std::vector<TableEntry *> byLru_; ///< waysByLru() buffer
     std::unordered_map<Addr, TableEntry> map_; ///< unbounded mode
-    std::uint64_t stamp_ = 0;
+    LruClock clock_;
 };
 
 } // namespace vca::core

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "sim/logging.hh"
+#include "sim/lru_clock.hh"
 #include "sim/types.hh"
 #include "stats/statistics.hh"
 
@@ -53,7 +54,7 @@ class RsidTable : public stats::StatGroup
         const std::uint64_t upper = upperBits(addr);
         for (unsigned i = 0; i < entries_; ++i) {
             if (table_[i].valid && table_[i].upper == upper) {
-                table_[i].lru = ++stamp_;
+                clock_.stamp(table_[i].lru);
                 ++hits;
                 return static_cast<int>(i);
             }
@@ -133,6 +134,10 @@ class RsidTable : public stats::StatGroup
     }
 
     unsigned refCount(int rsid) const { return table_.at(rsid).refCount; }
+    std::uint64_t lru(int rsid) const { return table_.at(rsid).lru; }
+
+    LruClock &clock() { return clock_; }
+    const LruClock &clock() const { return clock_; }
     unsigned size() const { return entries_; }
 
     stats::Scalar hits;
@@ -155,13 +160,13 @@ class RsidTable : public stats::StatGroup
         table_[i].valid = true;
         table_[i].upper = upper;
         table_[i].refCount = 0;
-        table_[i].lru = ++stamp_;
+        clock_.stamp(table_[i].lru);
     }
 
     unsigned offsetBits_;
     unsigned entries_;
     std::vector<Entry> table_;
-    std::uint64_t stamp_ = 0;
+    LruClock clock_;
 };
 
 } // namespace vca::core

@@ -38,7 +38,12 @@ VcaRenamer::VcaRenamer(const cpu::CpuParams &params,
              ideal ? 0 : params.vcaTableAssoc),
       rsid_(params.rsidEntries, params.rsidOffsetBits, parent),
       astq_(params.astqEntries, params.astqWritesPerCycle, parent),
-      regState_(params.physRegs)
+      regState_(params.physRegs),
+      refusalCounters_{&tableHits,      &tableMisses,
+                       &stallsNoFreeReg, &stallsTableConflict,
+                       &stallsPorts,    &stallsAstq,
+                       &stallsRsid,     &astq_.fullStalls,
+                       &astq_.writeLimitStalls, &rsid_.hits}
 {
     threads_.resize(params.numThreads);
     for (unsigned t = 0; t < params.numThreads; ++t) {
@@ -98,7 +103,7 @@ VcaRenamer::dropEntryRsidRef(const TableEntry *entry)
 void
 VcaRenamer::freePhys(PhysRegIndex reg)
 {
-    PhysState &s = regState_[reg];
+    const PhysState &s = regState_[reg];
     if (s.pinned())
         panic("freeing pinned physical register %d (refCount %u)",
               int(reg), s.refCount);
@@ -109,16 +114,25 @@ VcaRenamer::freePhys(PhysRegIndex reg)
 }
 
 bool
+VcaRenamer::stopsDryRun()
+{
+    if (dryRun_ == DryRun::Off)
+        return false;
+    dryRun_ = DryRun::Impure;
+    return true;
+}
+
+bool
 VcaRenamer::enqueueSpill(PhysRegIndex reg)
 {
-    PhysState &s = regState_[reg];
+    const PhysState &s = regState_[reg];
     if (!s.committed)
         panic("spilling uncommitted register %d", int(reg));
     // The committed value can no longer change, so it is captured into
     // backing memory at enqueue time; the ASTQ op carries the timing
     // (cache access through a spare port).
     memoryFor(s.addr, 0).write(s.addr, regs_.read(reg));
-    s.dirty = false;
+    regState_.edit(reg)->dirty = false;
     ++spills;
     VCA_TELEMETRY_PROBE(probe_, onSpill(s.addr));
     DPRINTF(VcaCache, "spill p%d -> addr 0x%llx", int(reg),
@@ -151,12 +165,12 @@ VcaRenamer::flushRsid(int rsidVictim)
     if (blocked)
         return false;
     for (TableEntry *e : toEvict) {
-        PhysState &s = regState_[e->front];
+        const PhysState &s = regState_[e->front];
         if (s.dirty) {
             // RSID flushes are rare (stats confirm); their spills bypass
             // the ASTQ capacity check but still drain through ports.
             memoryFor(s.addr, 0).write(s.addr, regs_.read(e->front));
-            s.dirty = false;
+            regState_.edit(e->front)->dirty = false;
             ++spills;
             VCA_TELEMETRY_PROBE(probe_, onSpill(s.addr));
             if (!ideal_) {
@@ -183,6 +197,12 @@ VcaRenamer::getEntry(Addr addr, bool &stalled)
     if (!ideal_) {
         rsid = rsid_.lookup(addr);
         if (rsid == RsidTable::noRsid) {
+            // An allocation outlives a refusal, and a blocked flush
+            // depends on the RSIDs' LRU order: neither is replayed.
+            if (stopsDryRun()) {
+                stalled = true;
+                return nullptr;
+            }
             rsid = rsid_.allocate(addr);
             if (rsid == RsidTable::noRsid) {
                 const int victim = rsid_.victim();
@@ -248,6 +268,10 @@ VcaRenamer::getEntry(Addr addr, bool &stalled)
         stalled = true;
         return nullptr;
     }
+    if (stopsDryRun()) {
+        stalled = true;
+        return nullptr;
+    }
 
     DPRINTF(VcaRename, "evict table entry addr 0x%llx (%s) for 0x%llx",
             (unsigned long long)choice->addr,
@@ -285,8 +309,12 @@ VcaRenamer::allocPhys(bool &stalled)
         stalled = true;
         return invalidPhysReg;
     }
+    if (stopsDryRun()) {
+        stalled = true;
+        return invalidPhysReg;
+    }
 
-    PhysState &s = regState_[victim];
+    const PhysState &s = regState_[victim];
     TableEntry *entry = table_.lookup(s.addr);
     if (!entry)
         panic("victim register %d has no rename-table entry", int(victim));
@@ -308,7 +336,7 @@ VcaRenamer::allocPhys(bool &stalled)
         panic("victim register %d in inconsistent table state",
               int(victim));
     }
-    s.clear();
+    regState_.edit(victim)->clear();
     return victim;
 }
 
@@ -368,10 +396,10 @@ VcaRenamer::rename(DynInst &inst, Cycle now)
     TableEntry *createdEmptyEntry = nullptr;
     auto rollback = [&]() {
         for (unsigned i = 0; i < numRefBumped; ++i) {
-            PhysState &s = regState_[refBumped[i]];
-            if (s.refCount == 0)
+            auto s = regState_.edit(refBumped[i]);
+            if (s->refCount == 0)
                 panic("rename rollback refcount underflow");
-            --s.refCount;
+            --s->refCount;
         }
         if (createdEmptyEntry) {
             dropEntryRsidRef(createdEmptyEntry);
@@ -419,22 +447,26 @@ VcaRenamer::rename(DynInst &inst, Cycle now)
                 rollback();
                 return false;
             }
-            if (!ideal_ && !astq_.canEnqueue(1)) {
+            const bool astqFull = !ideal_ && !astq_.canEnqueue(1);
+            if (astqFull || stopsDryRun()) {
                 // Evictions inside getEntry/allocPhys consumed the ASTQ
-                // slot this fill was going to use: undo and stall.
+                // slot this fill was going to use (or a dry run reached
+                // the fill): undo and stall.
                 regState_.pushFree(phys);
                 dropEntryRsidRef(entry);
                 table_.invalidate(entry);
-                astq_.noteRejected(1);
-                ++stallsAstq;
-                lastStall_ = StallCause::TransferBackpressure;
+                if (astqFull) {
+                    astq_.noteRejected(1);
+                    ++stallsAstq;
+                    lastStall_ = StallCause::TransferBackpressure;
+                }
                 rollback();
                 return false;
             }
-            PhysState &ps = regState_[phys];
-            ps.addr = srcAddr[s];
-            ps.committed = true;
-            ps.dirty = false;
+            auto ps = regState_.edit(phys);
+            ps->addr = srcAddr[s];
+            ps->committed = true;
+            ps->dirty = false;
             entry->front = phys;
             entry->commit = phys;
             ++fills;
@@ -447,14 +479,13 @@ VcaRenamer::rename(DynInst &inst, Cycle now)
                                 .read(srcAddr[s]));
                 regs_.setReady(phys, true);
             } else {
-                ps.fillPending = true;
-                ps.refCount += 1; // fill's own hold until completion
+                ps->fillPending = true;
+                ps->refCount += 1; // fill's own hold until completion
                 regs_.setReady(phys, false);
                 astq_.enqueue({false, srcAddr[s], phys, inst.tid});
             }
         }
-        PhysState &ps = regState_[phys];
-        ps.refCount += 1; // consumer pin
+        regState_.edit(phys)->refCount += 1; // consumer pin
         refBumped[numRefBumped++] = phys;
         regState_.touch(phys);
         inst.srcPhys[s] = phys;
@@ -468,6 +499,11 @@ VcaRenamer::rename(DynInst &inst, Cycle now)
                 ++portsUsed_;
             }
         }
+    }
+
+    if (!si.hasDest && stopsDryRun()) {
+        rollback();
+        return false;
     }
 
     if (si.hasDest) {
@@ -491,6 +527,11 @@ VcaRenamer::rename(DynInst &inst, Cycle now)
             }
             createdEmptyEntry = entry;
         }
+        if (stopsDryRun()) {
+            regState_.pushFree(phys);
+            rollback();
+            return false;
+        }
         if (createdEmptyEntry)
             inst.vcaCreatedEntry = true;
 
@@ -499,14 +540,18 @@ VcaRenamer::rename(DynInst &inst, Cycle now)
         inst.vcaPrevFront = entry->front;
 
         ++entry->specProducers;
-        if (entry->commit != invalidPhysReg)
-            regState_[entry->commit].overwriters = entry->specProducers;
+        if (entry->commit != invalidPhysReg) {
+            regState_.edit(entry->commit)->overwriters =
+                entry->specProducers;
+        }
 
-        PhysState &ps = regState_[phys];
-        ps.addr = destAddr;
-        ps.refCount = 1; // destination hold until commit
-        ps.committed = false;
-        ps.dirty = false;
+        {
+            auto ps = regState_.edit(phys);
+            ps->addr = destAddr;
+            ps->refCount = 1; // destination hold until commit
+            ps->committed = false;
+            ps->dirty = false;
+        }
         regState_.touch(phys);
         regs_.setReady(phys, false);
         entry->front = phys;
@@ -525,6 +570,39 @@ VcaRenamer::rename(DynInst &inst, Cycle now)
     return true;
 }
 
+bool
+VcaRenamer::dryRunRefusal(DynInst &inst, cpu::RefusalEffects &fx)
+{
+    // The dry run is rename() itself: stopsDryRun() ends it before any
+    // step a refusal cannot undo, the clocks log the LRU touches
+    // instead of stamping, and the counters it bumps are put back here.
+    // Refusal decisions never read an LRU stamp, so a logged refusal
+    // repeats unchanged in every cycle of its round-robin phase.
+    fx.clear();
+    std::array<double, numRefusalCounters> before;
+    for (size_t i = 0; i < before.size(); ++i)
+        before[i] = refusalCounters_[i]->value();
+    LruClock *const clocks[] = {&table_.clock(), &regState_.clock(),
+                                &rsid_.clock()};
+    for (LruClock *c : clocks)
+        c->dryRun(&fx.stamps);
+    dryRun_ = DryRun::Pure;
+    if (rename(inst, 0))
+        panic("dry-run rename renamed seq %llu",
+              (unsigned long long)inst.seq);
+    const bool pure = dryRun_ == DryRun::Pure;
+    dryRun_ = DryRun::Off;
+    for (LruClock *c : clocks)
+        c->dryRun(nullptr);
+    for (size_t i = 0; i < before.size(); ++i) {
+        stats::Scalar &counter = *refusalCounters_[i];
+        if (pure && counter.value() != before[i])
+            fx.count(counter, counter.value() - before[i]);
+        counter = before[i];
+    }
+    return pure;
+}
+
 cpu::CommitAction
 VcaRenamer::commitInst(DynInst &inst)
 {
@@ -532,10 +610,12 @@ VcaRenamer::commitInst(DynInst &inst)
     for (unsigned s = 0; s < si.numSrcs; ++s) {
         if (inst.srcPhys[s] == invalidPhysReg)
             continue;
-        PhysState &ps = regState_[inst.srcPhys[s]];
-        if (ps.refCount == 0)
-            panic("source refcount underflow at commit");
-        --ps.refCount;
+        {
+            auto ps = regState_.edit(inst.srcPhys[s]);
+            if (ps->refCount == 0)
+                panic("source refcount underflow at commit");
+            --ps->refCount;
+        }
         regState_.touch(inst.srcPhys[s]);
     }
 
@@ -548,7 +628,7 @@ VcaRenamer::commitInst(DynInst &inst)
         --entry->specProducers;
         const PhysRegIndex old = entry->commit;
         if (old != invalidPhysReg) {
-            PhysState &os = regState_[old];
+            const PhysState &os = regState_[old];
             if (os.fillPending) {
                 // The old value is overwritten while an orphaned fill
                 // (its consumers were squashed) is still bringing it
@@ -557,7 +637,7 @@ VcaRenamer::commitInst(DynInst &inst)
                 if (os.refCount != 1)
                     panic("overwritten fill-pending register has "
                           "consumer pins");
-                os.zombie = true;
+                regState_.edit(old)->zombie = true;
             } else {
                 if (os.pinned())
                     panic("overwritten committed register still pinned");
@@ -568,13 +648,15 @@ VcaRenamer::commitInst(DynInst &inst)
             }
         }
         entry->commit = inst.destPhys;
-        PhysState &ps = regState_[inst.destPhys];
-        if (ps.refCount == 0)
-            panic("destination hold refcount underflow");
-        --ps.refCount;
-        ps.committed = true;
-        ps.dirty = true;
-        ps.overwriters = entry->specProducers;
+        {
+            auto ps = regState_.edit(inst.destPhys);
+            if (ps->refCount == 0)
+                panic("destination hold refcount underflow");
+            --ps->refCount;
+            ps->committed = true;
+            ps->dirty = true;
+            ps->overwriters = entry->specProducers;
+        }
         regState_.touch(inst.destPhys);
     }
 
@@ -598,14 +680,14 @@ VcaRenamer::applyDeadFrameHint(Addr frameBase)
             return;
         if (e.front != e.commit || e.front == invalidPhysReg)
             return; // a speculative producer is in flight: leave it
-        PhysState &s = regState_[e.front];
-        if (!s.committed || s.fillPending)
+        auto s = regState_.edit(e.front);
+        if (!s->committed || s->fillPending)
             return;
-        if (s.dirty) {
-            s.dirty = false; // dead: never write it back
+        if (s->dirty) {
+            s->dirty = false; // dead: never write it back
             ++deadValueHints;
         }
-        s.lru = 0; // preferred victim
+        s->lru = 0; // preferred victim
     });
 }
 
@@ -616,10 +698,10 @@ VcaRenamer::squashInst(DynInst &inst)
     for (unsigned s = 0; s < si.numSrcs; ++s) {
         if (inst.srcPhys[s] == invalidPhysReg)
             continue;
-        PhysState &ps = regState_[inst.srcPhys[s]];
-        if (ps.refCount == 0)
+        auto ps = regState_.edit(inst.srcPhys[s]);
+        if (ps->refCount == 0)
             panic("source refcount underflow at squash");
-        --ps.refCount;
+        --ps->refCount;
     }
 
     if (si.hasDest && inst.destPhys != invalidPhysReg) {
@@ -629,8 +711,10 @@ VcaRenamer::squashInst(DynInst &inst)
         if (entry->specProducers == 0)
             panic("producer count underflow at squash");
         --entry->specProducers;
-        if (entry->commit != invalidPhysReg)
-            regState_[entry->commit].overwriters = entry->specProducers;
+        if (entry->commit != invalidPhysReg) {
+            regState_.edit(entry->commit)->overwriters =
+                entry->specProducers;
+        }
         if (entry->front != inst.destPhys)
             panic("squash undo out of order: front is not this dest");
         const PhysRegIndex pf = inst.vcaPrevFront;
@@ -643,10 +727,12 @@ VcaRenamer::squashInst(DynInst &inst)
             dropEntryRsidRef(entry);
             table_.invalidate(entry);
         }
-        PhysState &ps = regState_[inst.destPhys];
-        if (ps.refCount == 0)
-            panic("destination hold underflow at squash");
-        --ps.refCount;
+        {
+            auto ps = regState_.edit(inst.destPhys);
+            if (ps->refCount == 0)
+                panic("destination hold underflow at squash");
+            --ps->refCount;
+        }
         freePhys(inst.destPhys);
     }
 
@@ -682,15 +768,19 @@ VcaRenamer::transferDone(const TransferOp &op)
         return; // spill value was captured at enqueue
     if (op.reg == invalidPhysReg)
         panic("fill completion without a target register");
-    PhysState &ps = regState_[op.reg];
-    if (!ps.fillPending)
-        panic("fill completion for register %d with no pending fill",
-              int(op.reg));
-    ps.fillPending = false;
-    if (ps.refCount == 0)
-        panic("fill hold refcount underflow");
-    --ps.refCount;
-    if (ps.zombie) {
+    bool zombie = false;
+    {
+        auto ps = regState_.edit(op.reg);
+        if (!ps->fillPending)
+            panic("fill completion for register %d with no pending fill",
+                  int(op.reg));
+        ps->fillPending = false;
+        if (ps->refCount == 0)
+            panic("fill hold refcount underflow");
+        --ps->refCount;
+        zombie = ps->zombie;
+    }
+    if (zombie) {
         // Orphaned fill whose value was overwritten while in flight.
         ++overwriteFrees;
         freePhys(op.reg);
@@ -742,6 +832,22 @@ VcaRenamer::validate() const
             // but must stay pinned by their destination hold.
             panic("uncommitted register %u is unpinned", p);
         }
+    }
+    unsigned evictable = 0;
+    unsigned clean = 0;
+    for (unsigned p = 0; p < regState_.numRegs(); ++p) {
+        const PhysState &s = regState_[PhysRegIndex(p)];
+        if (s.evictable()) {
+            ++evictable;
+            clean += s.dirty ? 0 : 1;
+        }
+    }
+    if (evictable != regState_.numEvictable() ||
+        clean != regState_.numCleanEvictable()) {
+        panic("victim counts drifted at register %d: evictable %u kept, "
+              "%u recounted; clean evictable %u kept, %u recounted",
+              int(regState_.misclassified()), regState_.numEvictable(),
+              evictable, regState_.numCleanEvictable(), clean);
     }
 }
 

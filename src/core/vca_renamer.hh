@@ -24,6 +24,7 @@
 #ifndef VCA_CORE_VCA_RENAMER_HH
 #define VCA_CORE_VCA_RENAMER_HH
 
+#include <array>
 #include <vector>
 
 #include "core/astq.hh"
@@ -48,6 +49,8 @@ class VcaRenamer : public cpu::Renamer
     void setThreadContext(ThreadId tid, bool windowedAbi) override;
     void beginCycle(Cycle now) override;
     bool rename(cpu::DynInst &inst, Cycle now) override;
+    bool dryRunRefusal(cpu::DynInst &inst,
+                       cpu::RefusalEffects &fx) override;
     cpu::CommitAction commitInst(cpu::DynInst &inst) override;
     void squashInst(cpu::DynInst &inst) override;
     unsigned recoveryCycles(unsigned instsBeforeBranch) const override;
@@ -73,6 +76,7 @@ class VcaRenamer : public cpu::Renamer
 
     const RenameTable &table() const { return table_; }
     const RegStateArray &regState() const { return regState_; }
+    const RsidTable &rsid() const { return rsid_; }
     const cpu::CpuParams &params() const { return params_; }
     bool ideal() const { return ideal_; }
 
@@ -126,6 +130,13 @@ class VcaRenamer : public cpu::Renamer
     /** Free a physical register (must be unpinned). */
     void freePhys(PhysRegIndex reg);
 
+    /**
+     * In a dry run (dryRunRefusal), true at a step that a refusal
+     * could not undo, or that decides on success: the attempt stops
+     * there as impure, undoing what it did like a refusal.
+     */
+    bool stopsDryRun();
+
     /** RSID reference counting (no-ops in ideal mode). */
     void addEntryRsidRef(const TableEntry *entry);
     void dropEntryRsidRef(const TableEntry *entry);
@@ -160,6 +171,14 @@ class VcaRenamer : public cpu::Renamer
     StallCause lastStall_ = StallCause::FreeList;
 
     RegCacheProbe *probe_ = nullptr;
+
+    enum class DryRun : std::uint8_t { Off, Pure, Impure };
+    DryRun dryRun_ = DryRun::Off;
+
+    /** Every counter a pure refusal can bump; a dry run restores them
+     *  and records the differences. */
+    static constexpr size_t numRefusalCounters = 10;
+    std::array<stats::Scalar *, numRefusalCounters> refusalCounters_;
 };
 
 } // namespace vca::core

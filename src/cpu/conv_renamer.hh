@@ -41,13 +41,16 @@ class ConvRenamer : public Renamer
     void squashInst(DynInst &inst) override;
     void validate() const override;
 
-    // renameImpl's free-list refusal only counts itself.
+    // renameImpl's only refusal, an empty free list, only counts itself.
     bool
-    refusalIsPure(const DynInst &inst) const override
+    dryRunRefusal(DynInst &inst, RefusalEffects &fx) override
     {
-        return inst.si->hasDest && freeList_.empty();
+        if (!refuses(inst))
+            return false;
+        fx.clear();
+        fx.count(renameStallsFreeList);
+        return true;
     }
-    void countRefusals(double n) override { renameStallsFreeList += n; }
 
     void switchIn(ThreadId tid, const func::ArchState &state) override;
     std::uint64_t readArchReg(ThreadId tid, isa::RegClass cls,
@@ -82,6 +85,13 @@ class ConvRenamer : public Renamer
     }
     void freePhys(PhysRegIndex phys);
 
+    /** rename(inst) would stall: a destination and no free register. */
+    bool
+    refuses(const DynInst &inst) const
+    {
+        return inst.si->hasDest && freeList_.empty();
+    }
+
     /**
      * Shared rename body. Statically bound to Derived's logicalIndex
      * and window hooks (qualified calls, no virtual dispatch): each
@@ -97,7 +107,7 @@ class ConvRenamer : public Renamer
         auto *self = static_cast<Derived *>(this);
         const isa::StaticInst &si = *inst.si;
 
-        if (si.hasDest && freeList_.empty()) {
+        if (refuses(inst)) {
             ++renameStallsFreeList;
             return false;
         }

@@ -297,6 +297,9 @@ OooCpu::OooCpu(const CpuParams &params,
     statSampleCountdown_ = params_.statSampleInterval;
 
     commitSnapshot_.resize(params_.numThreads, 0);
+    idleRename_.resize(params_.numThreads);
+    for (IdleRenamePhase &phase : idleRename_)
+        phase.refusals.reserve(params_.numThreads);
 }
 
 OooCpu::~OooCpu() = default;
@@ -1365,42 +1368,42 @@ OooCpu::nextWakeCycle() const
 }
 
 /**
- * renameStage() for `cycles` identical cycles of a quiescent span
- * (`at` is any one of them) whose round robin starts at thread
- * `first`: bumps the stall counters and replays pure refusals
- * (Renamer::refusalIsPure) `cycles` times over. Returns false when
- * some thread would reach a rename that may succeed or touch renamer
- * state (a refused VCA rename updates its table); such a cycle is
- * ticked. `cycles == 0` only checks.
+ * Dry-run renameStage() for one cycle of a quiescent span (`at` is any
+ * one of them) whose round robin starts at thread `first`, recording
+ * each thread's gate stall or replayable renamer refusal in `phase`.
+ * Returns false when some thread would reach a rename that may succeed
+ * or change state a refusal cannot undo: such a cycle is ticked.
  */
 bool
-OooCpu::renameStallCycle(unsigned first, Cycle at, double cycles)
+OooCpu::dryRunRenamePhase(unsigned first, Cycle at, IdleRenamePhase &phase)
 {
+    phase.refusals.clear();
+    phase.lsqFull = 0;
+    phase.stop = RenameGate::Ok;
+    renamer_->beginCycle(at);
     const unsigned nThreads = params_.numThreads;
     for (unsigned i = 0; i < nThreads; ++i) {
-        ThreadState &ts = threads_[(first + i) % nThreads];
+        const ThreadId tid = static_cast<ThreadId>((first + i) % nThreads);
+        ThreadState &ts = threads_[tid];
         if (!renameReady(ts, at))
             continue;
-        const DynInst &inst = *ts.fetchQueue.front().inst;
-        switch (renameGate(ts, inst)) {
-          case RenameGate::Ok:
-            if (!renamer_->refusalIsPure(inst))
+        DynInst &inst = *ts.fetchQueue.front().inst;
+        const RenameGate gate = renameGate(ts, inst);
+        switch (gate) {
+          case RenameGate::Ok: {
+            IdleRenamePhase::Refusal &r = phase.refusals.emplace_back();
+            r.tid = tid;
+            if (!renamer_->dryRunRefusal(inst, r.fx))
                 return false;
-            if (cycles > 0) {
-                renamer_->countRefusals(cycles);
-                renamerRefusedThisCycle_ = true;
-                ts.renameRefused = true;
-                ts.renameRefusedCause = renamer_->lastStallCause();
-            }
+            r.cause = renamer_->lastStallCause();
             break;
+          }
           case RenameGate::RobFull:
-            robFullStalls += cycles;
-            return true;
           case RenameGate::IqFull:
-            iqFullStalls += cycles;
+            phase.stop = gate;
             return true;
           case RenameGate::LsqFull:
-            lsqFullStalls += cycles;
+            ++phase.lsqFull;
             break;
         }
     }
@@ -1419,25 +1422,20 @@ OooCpu::skipQuiescentCycles(Cycle lastCycle)
 {
     if (!quiescent())
         return;
-    // Rename's round-robin phase advances each cycle and decides
-    // which stall counter a cycle bumps, which threads are refused, or
-    // whether a head slips past a full IQ into the renamer: end the
-    // span before the first phase that would rename. The first phase
-    // is checked before the wake search because it is what usually
-    // keeps an otherwise quiet core ticking (a VCA rename retried
-    // every cycle).
-    const unsigned nThreads = params_.numThreads;
-    const bool renameRuns = !renamer_->transfersBlockRename();
-    if (renameRuns && !renameStallCycle(renameRR_, now_ + 1, 0))
-        return;
     const Cycle wake = nextWakeCycle();
     if (wake == neverCycle && lastCycle == neverCycle)
         return; // nothing can ever change: tick on as before
     Cycle skip = std::min(wake - 1, lastCycle) - now_;
+    // Rename's round-robin phase advances each cycle and decides
+    // which stall counter a cycle bumps, which threads are refused, or
+    // whether a head slips past a full IQ into the renamer: end the
+    // span before the first phase that would rename.
+    const unsigned nThreads = params_.numThreads;
+    const bool renameRuns = !renamer_->transfersBlockRename();
     if (renameRuns) {
-        for (unsigned p = 1; p < nThreads && p < skip; ++p) {
-            if (!renameStallCycle((renameRR_ + p) % nThreads, now_ + 1,
-                                  0)) {
+        for (unsigned p = 0; p < nThreads && p < skip; ++p) {
+            if (!dryRunRenamePhase((renameRR_ + p) % nThreads, now_ + 1,
+                                   idleRename_[p])) {
                 skip = p;
                 break;
             }
@@ -1474,12 +1472,38 @@ OooCpu::skipQuiescentCycles(Cycle lastCycle)
     }
     renamer_->beginCycle(now_);
     renameStallCycles += double(skip);
-    for (unsigned p = 0; p < nThreads && p < skip; ++p) {
-        const double cycles =
-            double(skip / nThreads + (p < skip % nThreads ? 1 : 0));
+    const unsigned phases =
+        static_cast<unsigned>(std::min<Cycle>(nThreads, skip));
+    const auto cyclesIn = [&](unsigned p) {
+        return skip / nThreads + (p < skip % nThreads ? 1 : 0);
+    };
+    // The span's earlier cycles first, in bulk: counters grow by each
+    // phase's cycle count and refusals take their LRU stamps unwritten
+    // (the last rotation overwrites every field they would write)...
+    for (unsigned p = 0; p < phases; ++p) {
+        const IdleRenamePhase &phase = idleRename_[p];
+        const Cycle cycles = cyclesIn(p);
+        if (phase.stop == RenameGate::RobFull)
+            robFullStalls += double(cycles);
+        if (phase.stop == RenameGate::IqFull)
+            iqFullStalls += double(cycles);
+        lsqFullStalls += double(phase.lsqFull * cycles);
+        for (const IdleRenamePhase::Refusal &r : phase.refusals)
+            r.fx.repeat(cycles - 1);
+    }
+    // ...then its last rotation, phase by phase in cycle order, which
+    // leaves every LRU field and stamp counter as ticking would.
+    for (unsigned j = 0; j < phases; ++j) {
+        const unsigned p =
+            static_cast<unsigned>((skip - phases + j) % nThreads);
         renamerRefusedThisCycle_ = false;
-        renameStallCycle((renameRR_ + p) % nThreads, now_, cycles);
-        accountTaxonomy(0, cycles);
+        for (const IdleRenamePhase::Refusal &r : idleRename_[p].refusals) {
+            r.fx.replay();
+            renamerRefusedThisCycle_ = true;
+            threads_[r.tid].renameRefused = true;
+            threads_[r.tid].renameRefusedCause = r.cause;
+        }
+        accountTaxonomy(0, double(cyclesIn(p)));
     }
     renameRR_ = static_cast<unsigned>((renameRR_ + skip) % nThreads);
 }

@@ -451,10 +451,25 @@ class OooCpu : public stats::StatGroup
                           const DynInst &inst) const;
 
     // Idle-cycle skipping (DESIGN.md §5).
+    /** One rename round-robin phase of a quiescent span: dry-run once,
+     *  replayed for every cycle of the span in that phase. */
+    struct IdleRenamePhase
+    {
+        struct Refusal
+        {
+            ThreadId tid;
+            Renamer::StallCause cause;
+            RefusalEffects fx;
+        };
+        std::vector<Refusal> refusals; ///< in round-robin order
+        unsigned lsqFull = 0; ///< LQ/SQ-full stalls per cycle
+        RenameGate stop = RenameGate::Ok; ///< a ROB/IQ stall ends it
+    };
     bool idleSkipAllowed() const;
     bool quiescent() const;
     Cycle nextWakeCycle() const;
-    bool renameStallCycle(unsigned first, Cycle at, double cycles);
+    bool dryRunRenamePhase(unsigned first, Cycle at,
+                           IdleRenamePhase &phase);
     void skipQuiescentCycles(Cycle lastCycle);
 
     CpuParams params_;
@@ -508,6 +523,8 @@ class OooCpu : public stats::StatGroup
     // Per-thread committed counts captured at the top of tick() so the
     // taxonomy pass sees this cycle's per-thread commit deltas.
     std::vector<InstCount> commitSnapshot_;
+    // One per round-robin phase, reused by every skipped span.
+    std::vector<IdleRenamePhase> idleRename_;
 
     std::vector<std::function<void(const DynInst &)>> commitListeners_;
     std::vector<std::function<void(const SimEvent &)>> simEventListeners_;

@@ -15,12 +15,16 @@
 #ifndef VCA_CPU_RENAMER_HH
 #define VCA_CPU_RENAMER_HH
 
+#include <array>
 #include <cstdint>
 
 #include "cpu/dyn_inst.hh"
 #include "func/func_sim.hh"
 #include "mem/sparse_memory.hh"
+#include "sim/logging.hh"
+#include "sim/lru_clock.hh"
 #include "sim/types.hh"
+#include "stats/statistics.hh"
 
 namespace vca::cpu {
 
@@ -38,6 +42,62 @@ struct CommitAction
 {
     bool windowTrap = false; ///< flush younger, stall, run performTrap()
     unsigned stallCycles = 0;
+};
+
+/**
+ * What one replayable rename refusal changes (idle-cycle skipping,
+ * DESIGN.md §5): the counters it bumps and the LRU stamps it takes, in
+ * order. Renamer::dryRunRefusal() fills it without changing either;
+ * the skipper applies it once per skipped cycle.
+ */
+class RefusalEffects
+{
+  public:
+    void
+    clear()
+    {
+        numCounts_ = 0;
+        stamps.clear();
+    }
+
+    /** The refusal adds `n` to `stat`. */
+    void
+    count(stats::Scalar &stat, double n = 1)
+    {
+        if (numCounts_ == counts_.size())
+            panic("refusal counts overflow");
+        counts_[numCounts_++] = {&stat, n};
+    }
+
+    /** `n` refusals whose LRU fields a later replay() overwrites:
+     *  counters grow n-fold, stamps are taken but not written. */
+    void
+    repeat(std::uint64_t n) const
+    {
+        for (unsigned i = 0; i < numCounts_; ++i)
+            *counts_[i].stat += counts_[i].n * double(n);
+        stamps.skip(n);
+    }
+
+    /** One refusal, exactly as a ticked cycle makes it. */
+    void
+    replay() const
+    {
+        for (unsigned i = 0; i < numCounts_; ++i)
+            *counts_[i].stat += counts_[i].n;
+        stamps.replay();
+    }
+
+    StampLog stamps;
+
+  private:
+    struct Count
+    {
+        stats::Scalar *stat;
+        double n;
+    };
+    std::array<Count, 12> counts_{};
+    unsigned numCounts_ = 0;
 };
 
 class Renamer
@@ -81,21 +141,22 @@ class Renamer
     virtual bool observesEveryCycle() const { return false; }
 
     /**
-     * Idle-cycle skipping: true when rename(inst) would return false
-     * and change nothing but the counter countRefusals() bumps, with
-     * lastStallCause() already naming the cause. A skipped span then
-     * replays such refusals in bulk; the default keeps every refusal
-     * ticked.
+     * Idle-cycle skipping: dry-run rename(inst) as the next attempt of
+     * the current rename cycle, that is after beginCycle() and this
+     * cycle's earlier attempts (a refused VCA rename still uses rename
+     * ports). Returns true when rename(inst) would refuse with effects
+     * a skipped cycle can replay, with those effects in `fx` and
+     * lastStallCause() naming the cause. The dry run changes nothing
+     * but the cycle's port use, which the next beginCycle() resets.
+     * The default keeps every rename ticked.
      */
     virtual bool
-    refusalIsPure(const DynInst &inst) const
+    dryRunRefusal(DynInst &inst, RefusalEffects &fx)
     {
         (void)inst;
+        (void)fx;
         return false;
     }
-
-    /** Count `n` refusals that refusalIsPure() vouched for. */
-    virtual void countRefusals(double n) { (void)n; }
 
     /**
      * Rename one instruction in program order. On success fills the

@@ -15,11 +15,13 @@
  *    lossless for arbitrary field values.
  *  - Idle-cycle skipping is transparent: random profiles on every
  *    renamer, 1/2/4 threads, detailed and sampled, dump the same
- *    statistics with skipping on and off.
+ *    statistics with skipping on and off, and VCA renamers end in the
+ *    same register, rename-table and LRU state.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <sstream>
@@ -28,6 +30,7 @@
 
 #include "analysis/runner.hh"
 #include "analysis/sampling.hh"
+#include "core/vca_renamer.hh"
 #include "cpu/ooo_cpu.hh"
 #include "func/func_sim.hh"
 #include "sim/rng.hh"
@@ -470,9 +473,67 @@ struct DetailedDump
 {
     std::string text; ///< stats dump, plus the trace when one is on
     std::string json; ///< stats JSON of the cpu tree
+    std::string renamer; ///< renamerState() at the end of the run
     Cycle cycles = 0;
     Cycle skipped = 0;
 };
+
+void
+dumpEntry(std::ostream &os, const core::TableEntry &e)
+{
+    os << " addr " << e.addr << " rsid " << e.rsid << " front "
+       << e.front << " commit " << e.commit << " spec "
+       << e.specProducers << " lru " << e.lru << "\n";
+}
+
+/**
+ * Every PhysState, rename-table entry and RSID entry of a VCA renamer
+ * (ideal windows included), LRU stamps and stamp counters included;
+ * "" for the conventional renamers. Replayed refusals must leave all
+ * of it exactly as ticking does.
+ */
+std::string
+renamerState(OooCpu &cpu)
+{
+    const auto *vca = dynamic_cast<const core::VcaRenamer *>(&cpu.renamer());
+    if (!vca)
+        return "";
+    std::ostringstream os;
+    const core::RegStateArray &regs = vca->regState();
+    const core::RenameTable &table = vca->table();
+    os << "stamps: regs " << regs.clock().now() << " table "
+       << table.clock().now() << " rsid " << vca->rsid().clock().now()
+       << "; free " << regs.numFree() << "\n";
+    for (unsigned p = 0; p < regs.numRegs(); ++p) {
+        const core::PhysState &s = regs[PhysRegIndex(p)];
+        os << "p" << p << " addr " << s.addr << " ref " << s.refCount
+           << " ow " << s.overwriters << " c" << s.committed << " d"
+           << s.dirty << " f" << s.fillPending << " z" << s.zombie
+           << " lru " << s.lru << "\n";
+    }
+    if (table.unbounded()) {
+        std::vector<const core::TableEntry *> entries;
+        table.forEach([&](const core::TableEntry &e) {
+            entries.push_back(&e);
+        });
+        std::sort(entries.begin(), entries.end(),
+                  [](const auto *a, const auto *b) {
+                      return a->addr < b->addr;
+                  });
+        for (const core::TableEntry *e : entries)
+            dumpEntry(os << "entry", *e);
+    } else {
+        for (size_t w = 0; w < table.ways().size(); ++w) {
+            const core::TableEntry &e = table.ways()[w];
+            dumpEntry(os << "way " << w << (e.valid ? "" : " invalid"), e);
+        }
+    }
+    for (unsigned r = 0; r < vca->rsid().size(); ++r) {
+        os << "rsid " << r << " ref " << vca->rsid().refCount(int(r))
+           << " lru " << vca->rsid().lru(int(r)) << "\n";
+    }
+    return os.str();
+}
 
 /** Warm up, reset, measure (or hit `measureCycles`), dump the stats. */
 DetailedDump
@@ -513,6 +574,7 @@ detailedRun(const std::vector<const isa::Program *> &progs,
         w.endObject();
     }
     d.json = json.str();
+    d.renamer = renamerState(cpu);
     d.cycles = cpu.currentCycle();
     d.skipped = cpu.skippedCycles();
     return d;
@@ -539,6 +601,7 @@ expectTransparent(const std::vector<const isa::Program *> &progs,
     EXPECT_EQ(on.cycles, off.cycles) << what;
     EXPECT_EQ(firstDiff(on.text, off.text), "") << what;
     EXPECT_EQ(firstDiff(on.json, off.json), "") << what;
+    EXPECT_EQ(firstDiff(on.renamer, off.renamer), "") << what;
     return on.skipped;
 }
 
@@ -557,6 +620,26 @@ TEST(IdleSkipping, DetailedStatsMatchTickByTick)
     }
     // Vacuous unless spans were actually skipped.
     EXPECT_GT(skipped, 0u);
+}
+
+TEST(IdleSkipping, RegisterStarvedVcaSkipsItsRefusals)
+{
+    // The paper's Figure 7 case: four threads' 256 logical registers on
+    // 192 physical ones. Most stalled cycles end in a refused VCA
+    // rename; replaying those refusals lets the span be skipped. With
+    // VCA refusals ticked this run skipped 72.5% of its cycles; with
+    // them replayed it skips 80.9%.
+    std::vector<const isa::Program *> progs;
+    for (const char *name : {"mcf", "gcc_expr", "parser", "gap"}) {
+        progs.push_back(
+            wload::cachedProgram(wload::profileByName(name), false));
+    }
+    const SkipCase c{RenamerKind::Vca, 4, 192};
+    const Cycle skipped = expectTransparent(progs, c, "vca x4 @192");
+    const DetailedDump d = detailedRun(progs, c, 1);
+    EXPECT_EQ(d.skipped, skipped);
+    EXPECT_GT(double(skipped), 0.77 * double(d.cycles))
+        << skipped << " of " << d.cycles << " cycles skipped";
 }
 
 /** Endless loop: a missing load, then 40 instructions that wait on

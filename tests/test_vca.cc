@@ -18,10 +18,12 @@
 #include "cpu/ooo_cpu.hh"
 #include "func/func_sim.hh"
 #include "isa/program.hh"
+#include "sim/rng.hh"
 #include "wload/generator.hh"
 #include "wload/profile.hh"
 
 #include <deque>
+#include <sstream>
 
 namespace {
 
@@ -166,7 +168,7 @@ TEST(RegStateTest, FreeListLifo)
     EXPECT_EQ(rs.numFree(), 4u);
     const PhysRegIndex p = rs.popFree();
     EXPECT_EQ(rs.numFree(), 3u);
-    rs[p].addr = 0x1000;
+    rs.edit(p)->addr = 0x1000;
     rs.pushFree(p);
     EXPECT_EQ(rs.numFree(), 4u);
     EXPECT_TRUE(rs[p].free()) << "pushFree must clear state";
@@ -193,14 +195,14 @@ TEST(RegStateTest, VictimPrefersLruAndAvoidsOverwritePending)
     std::vector<PhysRegIndex> order;
     for (unsigned i = 0; i < 4; ++i) {
         const PhysRegIndex p = rs.popFree();
-        rs[p].addr = 0x1000 + 8 * i;
-        rs[p].committed = true;
+        rs.edit(p)->addr = 0x1000 + 8 * i;
+        rs.edit(p)->committed = true;
         rs.touch(p);
         order.push_back(p);
     }
     // The first-touched register is LRU but has a pending overwriter:
     // the second-touched (next LRU without overwriters) must win.
-    rs[order[0]].overwriters = 1;
+    rs.edit(order[0])->overwriters = 1;
     EXPECT_EQ(rs.findVictim(false), order[1]);
 }
 
@@ -210,9 +212,9 @@ TEST(RegStateTest, OverwritePendingUsedAsLastResort)
     std::vector<PhysRegIndex> order;
     for (unsigned i = 0; i < 2; ++i) {
         const PhysRegIndex p = rs.popFree();
-        rs[p].addr = 0x1000 + 8 * i;
-        rs[p].committed = true;
-        rs[p].overwriters = 1;
+        rs.edit(p)->addr = 0x1000 + 8 * i;
+        rs.edit(p)->committed = true;
+        rs.edit(p)->overwriters = 1;
         rs.touch(p);
         order.push_back(p);
     }
@@ -224,14 +226,115 @@ TEST(RegStateTest, RequireCleanSkipsDirty)
     RegStateArray rs(2);
     for (unsigned i = 0; i < 2; ++i) {
         const PhysRegIndex p = rs.popFree();
-        rs[p].addr = 0x1000 + 8 * i;
-        rs[p].committed = true;
+        rs.edit(p)->addr = 0x1000 + 8 * i;
+        rs.edit(p)->committed = true;
         rs.touch(p);
     }
-    rs[0].dirty = true;
+    rs.edit(0)->dirty = true;
     EXPECT_EQ(rs.findVictim(true), 1);
-    rs[1].dirty = true;
+    rs.edit(1)->dirty = true;
     EXPECT_EQ(rs.findVictim(true), invalidPhysReg);
+}
+
+/** The victim scan findVictim() made before it kept victim counts. */
+PhysRegIndex
+referenceVictim(const RegStateArray &rs, bool requireClean)
+{
+    PhysRegIndex best = invalidPhysReg;
+    PhysRegIndex fallback = invalidPhysReg;
+    for (unsigned i = 0; i < rs.numRegs(); ++i) {
+        const PhysState &s = rs[PhysRegIndex(i)];
+        if (!s.evictable() || (requireClean && s.dirty))
+            continue;
+        PhysRegIndex &slot = s.overwriters == 0 ? best : fallback;
+        if (slot == invalidPhysReg || s.lru < rs[slot].lru)
+            slot = PhysRegIndex(i);
+    }
+    return best != invalidPhysReg ? best : fallback;
+}
+
+TEST(RegStateTest, VictimCountsFollowRandomEdits)
+{
+    // Random pin/unpin/commit/dirty/fill/free sequences through edit()
+    // and pushFree(): after every step both counts equal a recount and
+    // both victim queries equal the reference scan. A small file makes
+    // "no victim", LRU ties (dead-value hints zero the stamp) and the
+    // overwriter fallback frequent; the test checks each occurred.
+    constexpr unsigned numRegs = 12;
+    RegStateArray rs(numRegs);
+    Rng rng(20);
+    unsigned noVictim = 0, ties = 0, fallbacks = 0;
+    for (unsigned step = 0; step < 20'000; ++step) {
+        const PhysRegIndex p = PhysRegIndex(rng.below(numRegs));
+        const PhysState &s = rs[p];
+        switch (rng.below(9)) {
+          case 0: // allocate (a free register gets an address)
+            if (rs.hasFree())
+                rs.edit(rs.popFree())->addr = 0x1000 + 8 * step;
+            break;
+          case 1: // pin
+            if (!s.free())
+                ++rs.edit(p)->refCount;
+            break;
+          case 2: // unpin
+            if (s.refCount > 0)
+                --rs.edit(p)->refCount;
+            break;
+          case 3: // commit: the value becomes dirty
+            if (!s.free()) {
+                auto e = rs.edit(p);
+                e->committed = true;
+                e->dirty = true;
+            }
+            break;
+          case 4: // spill: clean again
+            rs.edit(p)->dirty = false;
+            break;
+          case 5: // fill issued or completed
+            if (!s.free())
+                rs.edit(p)->fillPending = !s.fillPending;
+            break;
+          case 6: // free (a register in the free list is never freed)
+            if (!s.free() && !s.pinned() && !s.fillPending)
+                rs.pushFree(p);
+            break;
+          case 7: // an overwriter dispatched or gone
+            rs.edit(p)->overwriters = s.overwriters ? 0 : 1;
+            break;
+          case 8: // touch, or a dead-value hint zeroing the stamp
+            if (rng.chance(0.5))
+                rs.touch(p);
+            else
+                rs.edit(p)->lru = 0;
+            break;
+        }
+
+        unsigned evictable = 0, clean = 0, zeroLru = 0;
+        for (unsigned i = 0; i < numRegs; ++i) {
+            const PhysState &r = rs[PhysRegIndex(i)];
+            if (!r.evictable())
+                continue;
+            ++evictable;
+            clean += r.dirty ? 0 : 1;
+            zeroLru += r.lru == 0 && r.overwriters == 0 ? 1 : 0;
+        }
+        ASSERT_EQ(rs.numEvictable(), evictable) << "step " << step;
+        ASSERT_EQ(rs.numCleanEvictable(), clean) << "step " << step;
+        ASSERT_EQ(rs.misclassified(), invalidPhysReg) << "step " << step;
+        for (bool requireClean : {false, true}) {
+            const PhysRegIndex want = referenceVictim(rs, requireClean);
+            ASSERT_EQ(rs.findVictim(requireClean), want)
+                << "step " << step << " requireClean " << requireClean;
+            if (want == invalidPhysReg)
+                ++noVictim;
+            else if (rs[want].overwriters > 0)
+                ++fallbacks;
+        }
+        ties += zeroLru > 1 ? 1 : 0;
+    }
+    EXPECT_GT(noVictim, 0u);
+    EXPECT_GT(ties, 0u);
+    EXPECT_GT(fallbacks, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -542,6 +645,155 @@ TEST_F(VcaRenamerTest, ReadCombiningSavesPorts)
         EXPECT_TRUE(renamer_->rename(*p, 1)) << "inst " << i;
     }
     EXPECT_DOUBLE_EQ(renamer_->stallsPorts.value(), 0.0);
+}
+
+// ---------------------------------------------------------------------
+// Dry-run refusals (idle-cycle skipping) and the victim-count recount
+// ---------------------------------------------------------------------
+
+/** A VCA renamer whose 32 registers all hold uncommitted writes of r10:
+ *  every rename with a destination finds no free or evictable one. */
+struct StarvedRenamer
+{
+    StarvedRenamer()
+        : root("t"),
+          params(cpu::CpuParams::preset(cpu::RenamerKind::Vca, 32)),
+          regs(params.physRegs), memories{&memory},
+          renamer(params, regs, memories, false, &root)
+    {
+        renamer.setThreadContext(0, true);
+        for (unsigned i = 0; i < params.physRegs; ++i) {
+            writers.push_back(make(isa::encodeI(isa::Opcode::Addi, 10, 0,
+                                                int(i))));
+            renamer.beginCycle(i);
+            if (!renamer.rename(*writers.back(), i))
+                ADD_FAILURE() << "writer " << i << " refused";
+        }
+    }
+
+    cpu::DynInst *
+    make(std::uint32_t word)
+    {
+        insts.push_back(isa::decode(word));
+        cpu::DynInst *inst = pool.acquire();
+        inst->si = &insts.back();
+        inst->seq = insts.size();
+        return inst;
+    }
+
+    /** Registers, table ways, RSIDs, LRU clocks, every statistic. */
+    std::string
+    state() const
+    {
+        std::ostringstream os;
+        const RegStateArray &rs = renamer.regState();
+        os << "clocks " << rs.clock().now() << " "
+           << renamer.table().clock().now() << " "
+           << renamer.rsid().clock().now() << " free " << rs.numFree()
+           << "\n";
+        for (unsigned p = 0; p < rs.numRegs(); ++p) {
+            const PhysState &r = rs[PhysRegIndex(p)];
+            os << p << ": " << r.addr << " " << r.refCount << " "
+               << r.committed << r.dirty << r.fillPending << " " << r.lru
+               << "\n";
+        }
+        for (const TableEntry &e : renamer.table().ways()) {
+            os << e.valid << " " << e.addr << " " << e.front << " "
+               << e.lru << "\n";
+        }
+        for (unsigned r = 0; r < renamer.rsid().size(); ++r)
+            os << "rsid " << r << " " << renamer.rsid().lru(int(r)) << "\n";
+        root.dump(os);
+        return os.str();
+    }
+
+    stats::StatGroup root;
+    cpu::CpuParams params;
+    cpu::PhysRegFile regs;
+    mem::SparseMemory memory;
+    std::vector<mem::SparseMemory *> memories;
+    VcaRenamer renamer;
+    cpu::InstPool pool;
+    std::deque<isa::StaticInst> insts;
+    std::vector<cpu::DynInst *> writers;
+};
+
+TEST(VcaDryRun, ReplayedRefusalEqualsTheTickedOne)
+{
+    // add r11, r10, r10: each source hits (a table stamp, a pin rolled
+    // back, a register stamp), the destination finds no register.
+    // add r11, r12, r12: the first source misses, hits in the RSID
+    // table, installs a free way and finds no register for the fill;
+    // the way is invalidated again, so its stamp is taken but kept by
+    // nothing.
+    const std::pair<std::uint32_t, unsigned> cases[] = {
+        {isa::encodeR(isa::Opcode::Add, 11, 10, 10), 4},
+        {isa::encodeR(isa::Opcode::Add, 11, 12, 12), 2},
+    };
+    for (const auto &[word, stamps] : cases) {
+        StarvedRenamer ticked, dry;
+        cpu::DynInst *a = ticked.make(word);
+        cpu::DynInst *b = dry.make(word);
+        const std::string before = dry.state();
+        ASSERT_EQ(ticked.state(), before);
+
+        cpu::RefusalEffects fx;
+        dry.renamer.beginCycle(100);
+        ASSERT_TRUE(dry.renamer.dryRunRefusal(*b, fx)) << stamps;
+        EXPECT_EQ(dry.state(), before) << "a dry run changes nothing";
+        EXPECT_EQ(fx.stamps.size(), stamps);
+        EXPECT_EQ(dry.renamer.lastStallCause(),
+                  cpu::Renamer::StallCause::FreeList);
+
+        // Three ticked refusals against two repeats and a replay.
+        for (Cycle c = 100; c < 103; ++c) {
+            ticked.renamer.beginCycle(c);
+            ASSERT_FALSE(ticked.renamer.rename(*a, c));
+        }
+        fx.repeat(2);
+        fx.replay();
+        EXPECT_EQ(dry.state(), ticked.state()) << stamps;
+        EXPECT_DOUBLE_EQ(dry.renamer.stallsNoFreeReg.value(), 3.0);
+    }
+}
+
+TEST(VcaDryRun, RenameThatWouldSucceedIsNotARefusal)
+{
+    // No destination: the source hit alone renames, so the dry run
+    // stops and undoes its pin.
+    StarvedRenamer rig;
+    cpu::DynInst *store = rig.make(isa::encodeB(isa::Opcode::St, 10, 0, 8));
+    const std::string before = rig.state();
+    cpu::RefusalEffects fx;
+    rig.renamer.beginCycle(100);
+    EXPECT_FALSE(rig.renamer.dryRunRefusal(*store, fx));
+    EXPECT_EQ(rig.state(), before);
+    rig.renamer.beginCycle(100);
+    EXPECT_TRUE(rig.renamer.rename(*store, 100));
+    rig.renamer.validate();
+}
+
+TEST(VcaDryRun, ValidateNamesADriftedVictimCount)
+{
+    // A write that bypasses RegStateArray::edit() leaves the victim
+    // counts stale; validate() names the register and both counts.
+    StarvedRenamer rig;
+    // The oldest write commits: dirty, unpinned, evictable.
+    rig.renamer.commitInst(*rig.writers.front());
+    rig.renamer.validate();
+    const PhysRegIndex p = rig.renamer.regState().findVictim(false);
+    ASSERT_NE(p, invalidPhysReg);
+    const_cast<PhysState &>(rig.renamer.regState()[p]).dirty = false;
+    try {
+        rig.renamer.validate();
+        FAIL() << "validate() missed the drift";
+    } catch (const PanicError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("register " + std::to_string(p)),
+                  std::string::npos) << what;
+        EXPECT_NE(what.find("clean evictable 0 kept, 1 recounted"),
+                  std::string::npos) << what;
+    }
 }
 
 } // namespace
