@@ -1,11 +1,10 @@
 #include "bench_common.hh"
 
 #include <algorithm>
+#include <cctype>
 #include <fstream>
 
-#include "stats/host_stats.hh"
 #include "trace/json.hh"
-#include "trace/stats_json.hh"
 #include "wload/profile.hh"
 
 namespace vca::bench {
@@ -14,33 +13,7 @@ using analysis::Measurement;
 using analysis::SweepPoint;
 using cpu::RenamerKind;
 
-namespace {
-
-/**
- * Per-point sampling statistics collected by sweepSeries() on
- * non-detailed runs, pending until the figure prints its `IPC ± CI`
- * table and exports the BENCH_*.json sampling block. Always empty on
- * detailed runs, so detailed stdout and JSON are untouched.
- */
-struct SampledCiEntry
-{
-    std::string label;    ///< curve (SeriesSpec) label
-    std::string workload; ///< "+"-joined benchmark names
-    unsigned physRegs = 0;
-    double ipc = 0; ///< sampled point estimate (1 / mean CPI)
-    analysis::SamplingSummary summary;
-};
-
-std::vector<SampledCiEntry> &
-sampledCiPending()
-{
-    static std::vector<SampledCiEntry> pending;
-    return pending;
-}
-
-} // namespace
-
-std::map<std::string, std::vector<double>>
+FigureSeries
 sweepSeries(const std::vector<SeriesSpec> &specs,
             const std::vector<unsigned> &physRegs,
             const analysis::RunOptions &opts,
@@ -67,7 +40,8 @@ sweepSeries(const std::vector<SeriesSpec> &specs,
     const std::vector<Measurement> results =
         analysis::SweepRunner::global().run(points);
 
-    std::map<std::string, std::vector<double>> series;
+    FigureSeries series;
+    series.mode = opts.mode;
     size_t idx = 0;
     for (const SeriesSpec &spec : specs) {
         std::vector<double> row;
@@ -77,7 +51,7 @@ sweepSeries(const std::vector<SeriesSpec> &specs,
             for (const auto &w : spec.workloads) {
                 const Measurement &m = results[idx++];
                 if (m.ok && m.sampling.samples > 0) {
-                    SampledCiEntry e;
+                    SampledPoint e;
                     e.label = spec.label;
                     for (const std::string &b : w)
                         e.workload +=
@@ -86,7 +60,7 @@ sweepSeries(const std::vector<SeriesSpec> &specs,
                     e.ipc = m.sampling.meanCpi > 0
                         ? 1.0 / m.sampling.meanCpi : 0.0;
                     e.summary = m.sampling;
-                    sampledCiPending().push_back(std::move(e));
+                    series.sampling.push_back(std::move(e));
                 }
                 const double v = m.ok ? metric(spec, w, m) : -1.0;
                 if (v < 0) {
@@ -97,62 +71,12 @@ sweepSeries(const std::vector<SeriesSpec> &specs,
             }
             row.push_back(operable ? analysis::mean(values) : -1.0);
         }
-        series[spec.label] = std::move(row);
+        series.values[spec.label] = std::move(row);
     }
     return series;
 }
 
-void
-printSampledCi(const std::vector<unsigned> &physRegs)
-{
-    const auto &pending = sampledCiPending();
-    if (pending.empty())
-        return;
-    // Cell = workload-mean sampled IPC ± workload-mean 95% half-width
-    // for one (curve, register-file size); the per-workload records go
-    // to BENCH_*.json in full.
-    std::printf("sampled IPC ± 95%% CI:\n");
-    std::vector<std::string> labels;
-    for (const SampledCiEntry &e : pending)
-        if (std::find(labels.begin(), labels.end(), e.label) ==
-            labels.end())
-            labels.push_back(e.label);
-    for (const std::string &label : labels) {
-        std::printf("%-12s", label.c_str());
-        for (unsigned regs : physRegs) {
-            double ipc = 0, hw = 0;
-            unsigned n = 0;
-            bool unbounded = false;
-            for (const SampledCiEntry &e : pending) {
-                if (e.label != label || e.physRegs != regs)
-                    continue;
-                ipc += e.ipc;
-                hw += (e.summary.ipcCiHi() -
-                       e.summary.ipcCiLo()) / 2;
-                unbounded = unbounded || e.summary.ciUnbounded;
-                ++n;
-            }
-            if (!n) {
-                std::printf(" %15s", "n/a");
-                continue;
-            }
-            char cell[32];
-            std::snprintf(cell, sizeof(cell), "%.3f±%s%.3f",
-                          ipc / n, unbounded ? "inf:" : "",
-                          hw / n);
-            std::printf(" %15s", cell);
-        }
-        std::printf("\n");
-    }
-}
-
-void
-clearSampledCi()
-{
-    sampledCiPending().clear();
-}
-
-std::map<std::string, std::vector<double>>
+FigureSeries
 regWindowSweep(const std::vector<unsigned> &physRegs,
                const analysis::RunOptions &opts, bool metricIsDcache,
                unsigned normalizePorts)
@@ -218,123 +142,78 @@ regWindowSweep(const std::vector<unsigned> &physRegs,
         });
 }
 
-} // namespace vca::bench
-
-namespace vca::bench {
-
 namespace {
 
-/**
- * Register-cache fill classification for the reference VCA
- * configuration (crafty @ 192 physical registers), exported into every
- * BENCH_*.json. Measured once per process with the telemetry analyzer
- * attached; the run goes straight to runBench (never through the sweep
- * cache) and telemetry runs skip host-MIPS accounting, so neither the
- * memoized sweep results nor the perf trajectory see it.
- */
-struct RegCacheSummary
+/** The `IPC ± CI` table of a sampled sweep (see printSeries). */
+void
+printCiTable(const std::vector<unsigned> &physRegs,
+             const std::vector<SampledPoint> &sampling)
 {
-    bool ok = false;
-    double fillsCompulsory = 0;
-    double fillsCapacity = 0;
-    double fillsConflict = 0;
-    double shadowHits = 0;
-};
-
-const RegCacheSummary &
-regCacheSummary()
-{
-    static const RegCacheSummary summary = [] {
-        RegCacheSummary s;
-        analysis::RunOptions opts = defaultOptions();
-        opts.regTelemetry = true;
-        // The telemetry analyzer observes a single detailed core;
-        // keep this reference measurement detailed even when the
-        // bench sweep itself runs sampled.
-        opts.mode = analysis::SimMode::Detailed;
-        const analysis::Measurement m =
-            analysis::runBench(wload::profileByName("crafty"),
-                               cpu::RenamerKind::Vca, 192, opts);
-        if (!m.ok)
-            return s;
-        for (const auto &[name, value] : m.counters) {
-            if (name == "fills_compulsory")
-                s.fillsCompulsory = value;
-            else if (name == "fills_capacity")
-                s.fillsCapacity = value;
-            else if (name == "fills_conflict")
-                s.fillsConflict = value;
-            else if (name == "shadow_hits")
-                s.shadowHits = value;
+    if (sampling.empty())
+        return;
+    std::printf("sampled IPC ± 95%% CI:\n");
+    std::vector<std::string> labels;
+    for (const SampledPoint &e : sampling)
+        if (std::find(labels.begin(), labels.end(), e.label) ==
+            labels.end())
+            labels.push_back(e.label);
+    for (const std::string &label : labels) {
+        std::printf("%-12s", label.c_str());
+        for (unsigned regs : physRegs) {
+            // An interval with no upper IPC bound makes the mean
+            // half-width infinite: the cell prints "±inf".
+            double ipc = 0, hw = 0;
+            unsigned n = 0;
+            bool unbounded = false;
+            for (const SampledPoint &e : sampling) {
+                if (e.label != label || e.physRegs != regs)
+                    continue;
+                ipc += e.ipc;
+                hw += (e.summary.ipcCiHi() -
+                       e.summary.ipcCiLo()) / 2;
+                unbounded = unbounded || e.summary.ciUnbounded;
+                ++n;
+            }
+            if (!n) {
+                std::printf(" %15s", "n/a");
+                continue;
+            }
+            char cell[32];
+            std::snprintf(cell, sizeof(cell), "%.3f±%s%.3f",
+                          ipc / n, unbounded ? "inf:" : "",
+                          hw / n);
+            std::printf(" %15s", cell);
         }
-        s.ok = true;
-        return s;
-    }();
-    return summary;
+        std::printf("\n");
+    }
 }
 
-} // namespace
-
+/** Write the figure document $VCA_FIGURE_DIR/<slug>.json (see
+ *  printSeries). */
 void
-writeSeriesCsv(const std::string &slug,
-               const std::vector<unsigned> &physRegs,
-               const std::map<std::string, std::vector<double>> &series)
+writeFigure(const std::string &slug,
+            const std::vector<unsigned> &physRegs,
+            const FigureSeries &series)
 {
-    const char *dir = std::getenv("VCA_CSV_DIR");
+    const char *dir = std::getenv("VCA_FIGURE_DIR");
     if (!dir || !*dir)
         return;
-    const std::string path = std::string(dir) + "/" + slug + ".csv";
+    const std::string path = std::string(dir) + "/" + slug + ".json";
     std::ofstream os(path);
     if (!os) {
-        warn("cannot write CSV to %s", path.c_str());
-        return;
-    }
-    os << "phys_regs";
-    for (const auto &[name, values] : series)
-        os << "," << name;
-    os << "\n";
-    for (size_t i = 0; i < physRegs.size(); ++i) {
-        os << physRegs[i];
-        for (const auto &[name, values] : series) {
-            os << ",";
-            if (i < values.size() && values[i] >= 0)
-                os << values[i];
-        }
-        os << "\n";
-    }
-    inform("wrote %s", path.c_str());
-}
-
-void
-writeSeriesJson(const std::string &slug,
-                const std::vector<unsigned> &physRegs,
-                const std::map<std::string, std::vector<double>> &series)
-{
-    const char *dir = std::getenv("VCA_BENCH_JSON_DIR");
-    if (!dir || !*dir)
-        return;
-    const std::string path =
-        std::string(dir) + "/BENCH_" + slug + ".json";
-    std::ofstream os(path);
-    if (!os) {
-        warn("cannot write JSON to %s", path.c_str());
+        warn("cannot write figure document to %s", path.c_str());
         return;
     }
     trace::JsonWriter w(os);
     w.beginObject();
     w.key("bench").string(slug);
-    // Written only for non-detailed runs so detailed exports keep
-    // their historical shape; readers default a missing field to
-    // "detailed".
-    if (const analysis::RunOptions opts = defaultOptions();
-        opts.mode != analysis::SimMode::Detailed)
-        w.key("mode").string(analysis::simModeName(opts.mode));
+    w.key("mode").string(analysis::simModeName(series.mode));
     w.key("phys_regs").beginArray();
     for (unsigned p : physRegs)
         w.number(std::uint64_t(p));
     w.endArray();
     w.key("series").beginObject();
-    for (const auto &[name, values] : series) {
+    for (const auto &[name, values] : series.values) {
         w.key(name).beginArray();
         for (double v : values) {
             if (v < 0)
@@ -345,67 +224,72 @@ writeSeriesJson(const std::string &slug,
         w.endArray();
     }
     w.endObject();
-    // Sampled-run confidence intervals: one entry per measured
-    // (curve, workload, size) point. Empty (and absent) on detailed
-    // runs, so detailed exports keep their historical shape.
-    if (const auto &pending = sampledCiPending(); !pending.empty()) {
-        w.key("sampling").beginArray();
-        for (const SampledCiEntry &e : pending) {
-            w.beginObject();
-            w.key("label").string(e.label);
-            w.key("workload").string(e.workload);
-            w.key("phys_regs").number(std::uint64_t(e.physRegs));
-            w.key("samples").number(std::uint64_t(e.summary.samples));
-            w.key("ipc").number(e.ipc);
-            w.key("ipc_ci_lo").number(e.summary.ipcCiLo());
-            w.key("ipc_ci_hi").number(e.summary.ipcCiHi());
-            w.key("ci_unbounded").boolean(e.summary.ciUnbounded);
-            w.key("mean_cpi").number(e.summary.meanCpi);
-            w.key("cpi_variance").number(e.summary.cpiVariance);
-            w.key("mean_tag_valid_fraction")
-                .number(e.summary.meanTagValidFraction);
-            w.key("mean_bpred_table_occupancy")
-                .number(e.summary.meanBpredTableOccupancy);
-            w.endObject();
-        }
-        w.endArray();
-    }
-    // 3C register-cache fill classification of the reference VCA
-    // configuration, for regression tracking of the shadow models.
-    if (const RegCacheSummary &rc = regCacheSummary(); rc.ok) {
-        w.key("reg_cache").beginObject();
-        w.key("arch").string("vca");
-        w.key("bench").string("crafty");
-        w.key("phys_regs").number(std::uint64_t(192));
-        w.key("fills_compulsory").number(rc.fillsCompulsory);
-        w.key("fills_capacity").number(rc.fillsCapacity);
-        w.key("fills_conflict").number(rc.fillsConflict);
-        w.key("shadow_hits").number(rc.shadowHits);
+    // ipc_ci_hi is null (unbounded) when the CPI lower bound is 0.
+    w.key("sampling").beginArray();
+    for (const SampledPoint &e : series.sampling) {
+        w.beginObject();
+        w.key("label").string(e.label);
+        w.key("workload").string(e.workload);
+        w.key("phys_regs").number(std::uint64_t(e.physRegs));
+        w.key("samples").number(std::uint64_t(e.summary.samples));
+        w.key("ipc").number(e.ipc);
+        w.key("ipc_ci_lo").number(e.summary.ipcCiLo());
+        w.key("ipc_ci_hi").number(e.summary.ipcCiHi());
+        w.key("ci_unbounded").boolean(e.summary.ciUnbounded);
+        w.key("mean_cpi").number(e.summary.meanCpi);
+        w.key("cpi_variance").number(e.summary.cpiVariance);
+        w.key("mean_tag_valid_fraction")
+            .number(e.summary.meanTagValidFraction);
+        w.key("mean_bpred_table_occupancy")
+            .number(e.summary.meanBpredTableOccupancy);
         w.endObject();
     }
-    // Per-point infrastructure failures accumulated by this process —
-    // present only on degraded runs, so a clean export stays
-    // byte-identical. A document carrying failures says its host
-    // numbers are not comparable.
-    if (const auto failures =
-            analysis::SweepRunner::global().allFailures();
-        !failures.empty()) {
-        w.key("failures").beginArray();
-        for (const auto &f : failures) {
-            w.beginObject();
-            w.key("label").string(f.label);
-            w.key("error").string(f.error);
-            w.key("attempts").number(std::uint64_t(f.attempts));
-            w.endObject();
-        }
-        w.endArray();
+    w.endArray();
+    // Points lost to infrastructure failures after their retries: the
+    // cells they feed read null.
+    w.key("failures").beginArray();
+    for (const auto &f : analysis::SweepRunner::global().allFailures()) {
+        w.beginObject();
+        w.key("label").string(f.label);
+        w.key("error").string(f.error);
+        w.key("attempts").number(std::uint64_t(f.attempts));
+        w.endObject();
     }
-    // Host throughput: cumulative detailed-simulation cost at the
-    // moment this bench's JSON is written.
-    trace::writeJsonGroup(stats::HostStats::global(), w);
+    w.endArray();
     w.endObject();
     os << '\n';
     inform("wrote %s", path.c_str());
+}
+
+} // namespace
+
+void
+printSeries(const char *title, const char *valueName,
+            const std::vector<unsigned> &physRegs,
+            const FigureSeries &series)
+{
+    std::printf("\n== %s ==\n", title);
+    std::printf("%-12s", "arch");
+    for (unsigned p : physRegs)
+        std::printf(" %9u", p);
+    std::printf("   (%s)\n", valueName);
+    for (const auto &[name, values] : series.values) {
+        std::printf("%-12s", name.c_str());
+        for (double v : values) {
+            if (v < 0)
+                std::printf(" %9s", "n/a");
+            else
+                std::printf(" %9.3f", v);
+        }
+        std::printf("\n");
+    }
+    printCiTable(physRegs, series.sampling);
+
+    std::string slug;
+    for (const char *c = title; *c && *c != ':'; ++c)
+        slug += (*c == ' ') ? '_' : static_cast<char>(
+            std::tolower(static_cast<unsigned char>(*c)));
+    writeFigure(slug, physRegs, series);
 }
 
 int

@@ -12,7 +12,6 @@
 #ifndef VCA_BENCH_COMMON_HH
 #define VCA_BENCH_COMMON_HH
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -92,68 +91,47 @@ archLabel(cpu::RenamerKind kind)
     return "?";
 }
 
-/**
- * Write one figure's series as CSV into $VCA_CSV_DIR (if set), so the
- * plots can be regenerated with scripts/plot_figures.py.
- */
-void writeSeriesCsv(const std::string &slug,
-                    const std::vector<unsigned> &physRegs,
-                    const std::map<std::string,
-                                   std::vector<double>> &series);
-
-/**
- * Write one figure's series as BENCH_<slug>.json into
- * $VCA_BENCH_JSON_DIR (if set): machine-readable results for
- * regression tracking. Inoperable points export as null.
- */
-void writeSeriesJson(const std::string &slug,
-                     const std::vector<unsigned> &physRegs,
-                     const std::map<std::string,
-                                    std::vector<double>> &series);
-
-/**
- * Print the `IPC ± CI` table for the sampled points the last
- * sweepSeries() call measured (one row per curve, one column per
- * register-file size; cells average the per-workload sampled IPC and
- * 95% half-width). No-op on detailed runs — detailed bench stdout
- * stays byte-identical.
- */
-void printSampledCi(const std::vector<unsigned> &physRegs);
-
-/** Forget the pending sampled-CI entries (figure epilogue). */
-void clearSampledCi();
-
-/** Print one figure-style series table (and CSV when enabled). */
-inline void
-printSeries(const char *title, const char *valueName,
-            const std::vector<unsigned> &physRegs,
-            const std::map<std::string, std::vector<double>> &series)
+/** The sampling record of one measured (curve, workload, size) point
+ *  of a non-detailed sweep. */
+struct SampledPoint
 {
-    std::printf("\n== %s ==\n", title);
-    std::printf("%-12s", "arch");
-    for (unsigned p : physRegs)
-        std::printf(" %9u", p);
-    std::printf("   (%s)\n", valueName);
-    for (const auto &[name, values] : series) {
-        std::printf("%-12s", name.c_str());
-        for (double v : values) {
-            if (v < 0)
-                std::printf(" %9s", "n/a");
-            else
-                std::printf(" %9.3f", v);
-        }
-        std::printf("\n");
-    }
-    printSampledCi(physRegs);
+    std::string label;    ///< curve (SeriesSpec) label
+    std::string workload; ///< "+"-joined benchmark names
+    unsigned physRegs = 0;
+    double ipc = 0; ///< sampled point estimate (1 / mean CPI)
+    analysis::SamplingSummary summary;
+};
 
-    std::string slug;
-    for (const char *c = title; *c && *c != ':'; ++c)
-        slug += (*c == ' ') ? '_' : static_cast<char>(
-            std::tolower(static_cast<unsigned char>(*c)));
-    writeSeriesCsv(slug, physRegs, series);
-    writeSeriesJson(slug, physRegs, series);
-    clearSampledCi();
-}
+/** Everything one figure sweep measured; printSeries() reads it. */
+struct FigureSeries
+{
+    analysis::SimMode mode = analysis::SimMode::Detailed;
+    /** values[curve label][size index]; negative = cannot operate. */
+    std::map<std::string, std::vector<double>> values;
+    /** One record per sampled point, in sweep order; empty on
+     *  detailed runs. */
+    std::vector<SampledPoint> sampling;
+};
+
+/**
+ * Print one figure's series table (one row per curve, one column per
+ * register-file size; "n/a" where the configuration cannot operate).
+ * On sampled runs an `IPC ± CI` table follows: one cell per (curve,
+ * size) averaging the per-workload sampled IPC and 95% half-width,
+ * "±inf" where an interval has no upper IPC bound. Detailed runs print
+ * no CI table, so their stdout stays byte-identical.
+ *
+ * With $VCA_FIGURE_DIR set, also write the figure document
+ * <slug>.json there; the slug is the title up to its colon, lower-case,
+ * spaces as underscores ("figure_6"). The document's fields are always
+ * `bench`, `mode`, `phys_regs`, `series` (null for an n/a cell),
+ * `sampling` (the per-point records, empty on detailed runs) and
+ * `failures` (infrastructure failures, empty on a clean run).
+ * scripts/plot_figures.py plots it.
+ */
+void printSeries(const char *title, const char *valueName,
+                 const std::vector<unsigned> &physRegs,
+                 const FigureSeries &series);
 
 /**
  * Bench epilogue: the value every bench main() returns. Reports sweep
@@ -199,11 +177,12 @@ using WorkloadMetric = std::function<double(
 
 /**
  * Measure every (spec, size, workload) point in one parallel batch and
- * reduce to metric[spec.label][sizeIndex]: the mean across the spec's
+ * reduce to values[spec.label][sizeIndex]: the mean across the spec's
  * workloads, or -1 when any workload is inoperable (!Measurement::ok
- * or a negative metric).
+ * or a negative metric). Sampled points also leave their records in
+ * the result's `sampling`.
  */
-std::map<std::string, std::vector<double>>
+FigureSeries
 sweepSeries(const std::vector<SeriesSpec> &specs,
             const std::vector<unsigned> &physRegs,
             const analysis::RunOptions &opts,
@@ -211,13 +190,13 @@ sweepSeries(const std::vector<SeriesSpec> &specs,
 
 /**
  * Sweep the register-window architectures over physical register file
- * sizes. Returns metric[arch][sizeIndex] where the metric is computed
+ * sizes. Returns values[arch][sizeIndex] where the metric is computed
  * per benchmark, normalized to the baseline reference, and averaged
  * over the call-heavy benchmark set. Negative = cannot operate.
  *
  * @param metricIsDcache false: execution time; true: cache accesses
  */
-std::map<std::string, std::vector<double>>
+FigureSeries
 regWindowSweep(const std::vector<unsigned> &physRegs,
                const analysis::RunOptions &opts, bool metricIsDcache,
                unsigned normalizePorts = 2);

@@ -138,6 +138,10 @@ BENCHMARK(BM_BranchPredict);
  * crafty at 256 registers; four run the memory-bound SMT mix (mcf,
  * gcc_expr, parser, gap, flat ABI) at 192, where VCA is short of
  * registers and refused renames look for replacement victims.
+ *
+ * Every repetition builds a fresh core and ticks it a fixed number of
+ * cycles, so repetitions time the same simulated region and can be
+ * compared (--benchmark_repetitions=N reports their spread).
  */
 void
 BM_PipelineThroughput(benchmark::State &state)
@@ -176,7 +180,8 @@ BENCHMARK(BM_PipelineThroughput)
     ->Args({static_cast<int>(cpu::RenamerKind::ConvWindow), 1})
     ->Args({static_cast<int>(cpu::RenamerKind::IdealWindow), 1})
     ->Args({static_cast<int>(cpu::RenamerKind::Vca), 1})
-    ->Args({static_cast<int>(cpu::RenamerKind::Vca), 4});
+    ->Args({static_cast<int>(cpu::RenamerKind::Vca), 4})
+    ->Iterations(50'000);
 
 } // namespace
 

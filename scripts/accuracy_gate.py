@@ -75,7 +75,7 @@ def parse_run(text):
     m = re.search(
         r"^sampling: samples=(\d+) mean_cpi=[0-9.]+ cpi_var=[0-9.]+ "
         r"ci95_cpi=\[[0-9.]+,[0-9.]+\] "
-        r"ipc_ci95=\[([0-9.]+),([0-9.]+)\] ci_unbounded=(\d) "
+        r"ipc_ci95=\[([0-9.]+),([0-9.]+|inf)\] ci_unbounded=(\d) "
         r"worst_sample=(-?\d+)", text, re.MULTILINE)
     out["samples"] = int(m.group(1)) if m else None
     out["ipc_ci_lo"] = float(m.group(2)) if m else None
@@ -235,6 +235,13 @@ host: seconds=0.400 mips=0.150 cycles_per_sec=75000
     if ci_check("vca", 2.10, unbounded):
         print("selftest: FAILED (unbounded CI must pass trivially)",
               file=sys.stderr)
+        return 1
+    # A CPI lower bound of 0 prints the IPC upper bound as inf.
+    open_hi = parse_run(sampled_out.replace("2.053388]", "inf]"))
+    if open_hi["ipc_ci_hi"] != float("inf") \
+            or ci_check("vca", 50.0, open_hi):
+        print("selftest: FAILED (an inf upper bound must contain "
+              "every ipc above the lower bound)", file=sys.stderr)
         return 1
     if not ci_check("vca", d["ipc"], parse_run(detailed_out)):
         print("selftest: FAILED (missing sampling line must flag)",

@@ -1,17 +1,27 @@
 #!/usr/bin/env python3
-"""Plot the reproduced figures from the bench CSVs.
+"""Plot the reproduced figures from the figure benches' documents.
 
 Usage:
-    mkdir -p csv && VCA_CSV_DIR=csv ./build/bench/bench_fig4_regwindow_time
+    mkdir -p figs && VCA_FIGURE_DIR=figs ./build/bench/bench_fig4_regwindow_time
     ... (repeat for the other figure benches, or run them all) ...
-    python3 scripts/plot_figures.py csv/
+    python3 scripts/plot_figures.py figs/
 
-Produces one PNG per CSV next to it. Requires matplotlib.
+Produces one PNG per figure document (<slug>.json) next to it.
+Plotting requires matplotlib; load_figure() needs only the standard
+library.
 """
 
-import csv
+import json
 import pathlib
 import sys
+
+
+def load_figure(path):
+    """Read one figure document: {"bench", "mode", "phys_regs",
+    "series": {curve: [value or None]}, "sampling", "failures"}. A
+    None cell is a configuration that cannot operate."""
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def plot_file(path: pathlib.Path) -> None:
@@ -20,21 +30,15 @@ def plot_file(path: pathlib.Path) -> None:
     matplotlib.use("Agg")
     import matplotlib.pyplot as plt
 
-    with path.open() as fh:
-        rows = list(csv.reader(fh))
-    header, data = rows[0], rows[1:]
-    xs = [int(r[0]) for r in data]
-
+    doc = load_figure(path)
     fig, ax = plt.subplots(figsize=(6, 4))
-    for col in range(1, len(header)):
-        ys, pts = [], []
-        for i, r in enumerate(data):
-            if r[col]:
-                pts.append(xs[i])
-                ys.append(float(r[col]))
-        ax.plot(pts, ys, marker="o", label=header[col])
+    for name, values in doc["series"].items():
+        pts = [(x, y) for x, y in zip(doc["phys_regs"], values)
+               if y is not None]
+        ax.plot([x for x, _ in pts], [y for _, y in pts], marker="o",
+                label=name)
     ax.set_xlabel("physical registers")
-    ax.set_title(path.stem.replace("_", " "))
+    ax.set_title(doc["bench"].replace("_", " "))
     ax.legend(fontsize=8)
     ax.grid(True, alpha=0.3)
     out = path.with_suffix(".png")
@@ -48,9 +52,9 @@ def main() -> int:
         print(__doc__)
         return 1
     directory = pathlib.Path(sys.argv[1])
-    files = sorted(directory.glob("*.csv"))
+    files = sorted(directory.glob("*.json"))
     if not files:
-        print(f"no CSV files in {directory}")
+        print(f"no figure documents in {directory}")
         return 1
     for f in files:
         plot_file(f)

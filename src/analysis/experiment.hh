@@ -17,6 +17,7 @@
 #ifndef VCA_ANALYSIS_EXPERIMENT_HH
 #define VCA_ANALYSIS_EXPERIMENT_HH
 
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -196,9 +197,16 @@ struct SamplingSummary
     double meanTagValidFraction = 0;
     double meanBpredTableOccupancy = 0;
 
-    /** 95% CI on IPC (the reciprocal interval; hi bound from ciLo). */
+    /** 95% CI on IPC (the reciprocal interval; hi bound from ciLo).
+     *  A CPI lower bound of 0 leaves IPC unbounded above: ipcCiHi()
+     *  is then +infinity (JSON writes it as null). */
     double ipcCiLo() const { return ciHiCpi > 0 ? 1.0 / ciHiCpi : 0; }
-    double ipcCiHi() const { return ciLoCpi > 0 ? 1.0 / ciLoCpi : 0; }
+    double
+    ipcCiHi() const
+    {
+        return ciLoCpi > 0 ? 1.0 / ciLoCpi
+                           : std::numeric_limits<double>::infinity();
+    }
 
     bool
     operator==(const SamplingSummary &o) const

@@ -292,10 +292,6 @@ OooCpu::OooCpu(const CpuParams &params,
     events_.reset(horizon);
     transferEvents_.reset(horizon);
 
-    if (params_.statSampleInterval == 0)
-        params_.statSampleInterval = 1;
-    statSampleCountdown_ = params_.statSampleInterval;
-
     commitSnapshot_.resize(params_.numThreads, 0);
     idleRename_.resize(params_.numThreads);
     for (IdleRenamePhase &phase : idleRename_)
@@ -1264,11 +1260,8 @@ OooCpu::tick()
     ++now_;
     ++numCycles;
     trace::setTraceCycle(now_);
-    if (--statSampleCountdown_ == 0) {
-        statSampleCountdown_ = params_.statSampleInterval;
-        robOccupancyDist.sample(static_cast<double>(robCount_));
-        iqOccupancyDist.sample(static_cast<double>(iqCount_));
-    }
+    robOccupancyDist.sample(static_cast<double>(robCount_));
+    iqOccupancyDist.sample(static_cast<double>(iqCount_));
     const double committedBefore = committedTotal.value();
     for (unsigned t = 0; t < params_.numThreads; ++t)
         commitSnapshot_[t] = threads_[t].committed;
@@ -1448,17 +1441,8 @@ OooCpu::skipQuiescentCycles(Cycle lastCycle)
     numCycles += double(skip);
     skippedCycles_ += skip;
     trace::setTraceCycle(now_);
-    if (skip >= statSampleCountdown_) {
-        const Cycle interval = params_.statSampleInterval;
-        const Cycle past = skip - statSampleCountdown_;
-        const Cycle samples = 1 + past / interval;
-        statSampleCountdown_ = static_cast<unsigned>(interval -
-                                                     past % interval);
-        robOccupancyDist.sample(static_cast<double>(robCount_), samples);
-        iqOccupancyDist.sample(static_cast<double>(iqCount_), samples);
-    } else {
-        statSampleCountdown_ -= static_cast<unsigned>(skip);
-    }
+    robOccupancyDist.sample(static_cast<double>(robCount_), skip);
+    iqOccupancyDist.sample(static_cast<double>(iqCount_), skip);
     for (unsigned t = 0; t < nThreads; ++t)
         commitSnapshot_[t] = threads_[t].committed;
     commitRR_ = static_cast<unsigned>((commitRR_ + skip) % nThreads);

@@ -487,8 +487,6 @@ class OooCpu : public stats::StatGroup
     unsigned frontendDelay_ = 0; ///< decodeDelay + renamer extra stages
     unsigned robCount_ = 0; ///< sum of per-thread ROB sizes, maintained
                             ///< incrementally (robOccupancy() reads it)
-    unsigned statSampleCountdown_ = 1; ///< cycles to the next
-                                       ///< occupancy-distribution sample
     Cycle skippedCycles_ = 0; ///< see skippedCycles()
 
     // Instruction queue: ready list plus per-register waiter lists.

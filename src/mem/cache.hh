@@ -75,19 +75,6 @@ class Cache : public stats::StatGroup
     void invalidateAll();
 
     /**
-     * Forget in-flight fills but keep tags. Functional warming runs on
-     * its own clock; dropping the outstanding-miss bookkeeping keeps
-     * those timestamps from leaking into the measured run's time base.
-     */
-    void
-    drainInflight()
-    {
-        inflight_.clear();
-        if (next_)
-            next_->drainInflight();
-    }
-
-    /**
      * Adopt another cache's tag/LRU state (panics unless the geometry
      * matches). Sampled simulation transplants a persistent,
      * functionally-warmed hierarchy into each sample's fresh core so
@@ -228,14 +215,6 @@ class MemSystem : public stats::StatGroup
     }
 
     void invalidateAll();
-
-    /** See Cache::drainInflight (covers all levels). */
-    void
-    drainInflight()
-    {
-        il1_.drainInflight();
-        dl1_.drainInflight();
-    }
 
     /** See Cache::copyStateFrom (covers all levels). */
     void

@@ -8,7 +8,7 @@
  * the wall-clock spent inside detailed simulation and the simulated
  * instructions/cycles covered, and derives simulated MIPS and
  * cycles-per-second. runTiming() accumulates into a process-wide
- * instance (the benches export it into BENCH_*.json); vca-sim keeps
+ * instance (vca-sim's host: lines and perfbench read it); vca-sim keeps
  * a local instance for its single-run report.
  *
  * record() is thread-safe: sweep points run concurrently on the

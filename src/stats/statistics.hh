@@ -114,8 +114,7 @@ class Distribution : public StatBase
     Distribution(StatGroup *parent, std::string name, std::string desc,
                  double min, double max, unsigned buckets);
 
-    // Inline: sampled every statSampleInterval cycles from the CPU's
-    // tick() hot path.
+    // Inline: sampled every cycle from the CPU's tick() hot path.
     void
     sample(double v, std::uint64_t n = 1)
     {

@@ -11,8 +11,8 @@
  *  - a warm sweep is pure cache hits: zero detailed simulations, zero
  *    new host-stat intervals (runTimingCallCount() is the witness);
  *  - the host group round-trips through the stats JSON export with
- *    internally consistent derived values, as BENCH_*.json and
- *    vca-sim --stats-json carry it.
+ *    internally consistent derived values, as vca-sim --stats-json
+ *    carries it.
  */
 
 #include <gtest/gtest.h>

@@ -538,12 +538,10 @@ renamerState(OooCpu &cpu)
 /** Warm up, reset, measure (or hit `measureCycles`), dump the stats. */
 DetailedDump
 detailedRun(const std::vector<const isa::Program *> &progs,
-            const SkipCase &c, unsigned statInterval,
-            Observer observer = Observer::None, Cycle measureCycles = 0)
+            const SkipCase &c, Observer observer = Observer::None,
+            Cycle measureCycles = 0)
 {
-    CpuParams params = CpuParams::preset(c.kind, c.physRegs, c.threads);
-    params.statSampleInterval = statInterval;
-    OooCpu cpu(params, progs);
+    OooCpu cpu(CpuParams::preset(c.kind, c.physRegs, c.threads), progs);
     std::unique_ptr<telemetry::RegCacheAnalyzer> analyzer;
     if (observer == Observer::RegCacheAnalyzer)
         analyzer = telemetry::attachRegCacheAnalyzer(cpu);
@@ -585,17 +583,14 @@ detailedRun(const std::vector<const isa::Program *> &progs,
 Cycle
 expectTransparent(const std::vector<const isa::Program *> &progs,
                   const SkipCase &c, const std::string &what,
-                  unsigned statInterval = 1,
                   Observer observer = Observer::None,
                   Cycle measureCycles = 0)
 {
-    const DetailedDump on =
-        detailedRun(progs, c, statInterval, observer, measureCycles);
+    const DetailedDump on = detailedRun(progs, c, observer, measureCycles);
     DetailedDump off;
     {
         TickEveryCycle reference;
-        off = detailedRun(progs, c, statInterval, observer,
-                          measureCycles);
+        off = detailedRun(progs, c, observer, measureCycles);
     }
     EXPECT_EQ(off.skipped, 0u) << what;
     EXPECT_EQ(on.cycles, off.cycles) << what;
@@ -612,10 +607,8 @@ TEST(IdleSkipping, DetailedStatsMatchTickByTick)
         for (const SkipCase &c : skipCases(seed)) {
             const auto progs = randomPrograms(
                 seed, c.threads, c.kind != RenamerKind::Baseline);
-            // Thinned occupancy sampling checks the countdown replay.
             skipped += expectTransparent(pointers(progs), c,
-                                         label(c, seed),
-                                         seed == 2 ? 7 : 1);
+                                         label(c, seed));
         }
     }
     // Vacuous unless spans were actually skipped.
@@ -636,7 +629,7 @@ TEST(IdleSkipping, RegisterStarvedVcaSkipsItsRefusals)
     }
     const SkipCase c{RenamerKind::Vca, 4, 192};
     const Cycle skipped = expectTransparent(progs, c, "vca x4 @192");
-    const DetailedDump d = detailedRun(progs, c, 1);
+    const DetailedDump d = detailedRun(progs, c);
     EXPECT_EQ(d.skipped, skipped);
     EXPECT_GT(double(skipped), 0.77 * double(d.cycles))
         << skipped << " of " << d.cycles << " cycles skipped";
@@ -702,7 +695,7 @@ TEST(IdleSkipping, RunsEndingOnTheCycleBudgetMatch)
     const SkipCase c{RenamerKind::Vca, 2, 160};
     for (Cycle budget : {1u, 97u, 1'000u, 4'099u}) {
         const std::string what = "budget " + std::to_string(budget);
-        expectTransparent(pointers(progs), c, what, 3, Observer::None,
+        expectTransparent(pointers(progs), c, what, Observer::None,
                           budget);
     }
 }
@@ -713,9 +706,9 @@ TEST(IdleSkipping, DebugFlagsTurnSkippingOff)
     const SkipCase c{RenamerKind::Baseline, 2, 192};
     // The trace is part of the compared text: a skipped span would
     // drop its per-cycle stall lines.
-    expectTransparent(pointers(progs), c, "debug flags", 1,
+    expectTransparent(pointers(progs), c, "debug flags",
                       Observer::DebugFlags);
-    EXPECT_EQ(detailedRun(pointers(progs), c, 1, Observer::DebugFlags)
+    EXPECT_EQ(detailedRun(pointers(progs), c, Observer::DebugFlags)
                   .skipped,
               0u);
 }
@@ -724,12 +717,12 @@ TEST(IdleSkipping, RegCacheAnalyzerTurnsSkippingOff)
 {
     const auto progs = randomPrograms(6, 2, true);
     const SkipCase c{RenamerKind::Vca, 2, 128};
-    expectTransparent(pointers(progs), c, "reg-cache analyzer", 1,
+    expectTransparent(pointers(progs), c, "reg-cache analyzer",
                       Observer::RegCacheAnalyzer);
-    EXPECT_EQ(detailedRun(pointers(progs), c, 1,
-                          Observer::RegCacheAnalyzer)
-                  .skipped,
-              0u);
+    EXPECT_EQ(
+        detailedRun(pointers(progs), c, Observer::RegCacheAnalyzer)
+            .skipped,
+        0u);
 }
 
 TEST(IdleSkipping, SampledStatsMatchTickByTick)

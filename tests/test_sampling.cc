@@ -9,6 +9,7 @@
  */
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -203,9 +204,27 @@ TEST(SamplingSummaryTest, IpcAccessorsAreReciprocals)
     const SamplingSummary s =
         analysis::computeSamplingSummary({rec(1.0), rec(1.2)});
     EXPECT_NEAR(s.ipcCiLo(), 1.0 / s.ciHiCpi, 1e-12);
-    EXPECT_NEAR(s.ipcCiHi(), s.ciLoCpi > 0 ? 1.0 / s.ciLoCpi : 0.0,
-                1e-12);
+    EXPECT_EQ(s.ipcCiHi(), s.ciLoCpi > 0
+                               ? 1.0 / s.ciLoCpi
+                               : std::numeric_limits<double>::infinity());
     EXPECT_LE(s.ipcCiLo(), 1.0 / s.meanCpi);
+}
+
+TEST(SamplingSummaryTest, ClampedCpiBoundLeavesIpcUnboundedAbove)
+{
+    // n=2, x = {0.5, 3.0}: mean 1.75, half-width 12.706 * 1.25 far
+    // above the mean, so the CPI lower bound clamps to 0. IPC then has
+    // no upper bound, and must not read 0 (below its lower bound).
+    const SamplingSummary s =
+        analysis::computeSamplingSummary({rec(0.5), rec(3.0)});
+    EXPECT_FALSE(s.ciUnbounded);
+    EXPECT_DOUBLE_EQ(s.meanCpi, 1.75);
+    EXPECT_NEAR(s.cpiVariance, 3.125, 1e-12);
+    EXPECT_DOUBLE_EQ(s.ciLoCpi, 0.0);
+    EXPECT_NEAR(s.ciHiCpi, 1.75 + 12.706 * 1.25, 1e-3);
+    EXPECT_EQ(s.ipcCiHi(), std::numeric_limits<double>::infinity());
+    EXPECT_NEAR(s.ipcCiLo(), 1.0 / s.ciHiCpi, 1e-12);
+    EXPECT_LT(s.ipcCiLo(), 1.0 / s.meanCpi);
 }
 
 TEST(SamplingSummaryTest, CiIsPureFunctionOfRecords)

@@ -144,9 +144,6 @@ simMain(int argc, char **argv)
     opts.add("interval", "0",
              "record an IPC/stall interval every N committed insts "
              "(exported via --stats-json)");
-    opts.add("stat-sample-interval", "1",
-             "sample ROB/IQ occupancy distributions every N cycles "
-             "(1 = exact; larger trades histogram detail for speed)");
     opts.add("sweep-regs", "",
              "sweep mode: comma list of register file sizes, run in "
              "parallel with on-disk memoization (see VCA_JOBS / "
@@ -612,8 +609,6 @@ simMain(int argc, char **argv)
             static_cast<unsigned>(opts.getU64("table-assoc"));
     }
     params.vcaDeadValueHints = opts.getBool("dead-hints");
-    params.statSampleInterval =
-        static_cast<unsigned>(opts.getU64("stat-sample-interval"));
     // Read every count before simulating, so a malformed one exits
     // with its flag named instead of as a configuration failure.
     const InstCount warmup = opts.getU64("warmup");
