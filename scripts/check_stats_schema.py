@@ -20,8 +20,9 @@ plot scripts, regression tracking) rely on:
     set on the final record;
   - non-detailed documents (config.mode == "sampled" or "simpoint")
     carry a "sampling" block instead of the cpu tree: a well-ordered
-    95% CI around mean_cpi, warmth fractions in [0, 1], and exactly
-    `samples` per-sample records;
+    95% CI around mean_cpi, an IPC interval whose upper bound is null
+    (unbounded) or at least its lower bound, warmth fractions in
+    [0, 1], and exactly `samples` per-sample records;
   - the host group (when present) counts host.sim_cycles_skipped, the
     cycles idle-cycle skipping jumped over, within host.sim_cycles.
 
@@ -106,6 +107,17 @@ def validate_sampling(doc, where):
                      f"mean_cpi {mean}")
     if sampling["cpi_variance"] < 0:
         fail(errors, f"{where}: sampling.cpi_variance is negative")
+    # The IPC interval is the CPI one inverted; a CPI lower bound of 0
+    # leaves it unbounded above, which JSON writes as null.
+    ipc_lo, ipc_hi = sampling.get("ipc_ci_lo"), sampling.get("ipc_ci_hi")
+    if not is_num(ipc_lo):
+        fail(errors, f"{where}: sampling.ipc_ci_lo is not a number")
+    elif ipc_hi is not None and not is_num(ipc_hi):
+        fail(errors, f"{where}: sampling.ipc_ci_hi is neither a "
+                     f"number nor null")
+    elif ipc_hi is not None and ipc_hi < ipc_lo:
+        fail(errors, f"{where}: IPC CI [{ipc_lo}, {ipc_hi}] is "
+                     f"inverted")
     for key in ("mean_tag_valid_fraction",
                 "mean_bpred_table_occupancy"):
         if not 0 <= sampling[key] <= 1:
@@ -334,6 +346,7 @@ def make_sampled_doc():
             "cpi_variance": 0.000433,
             "ci_lo_cpi": 0.965, "ci_hi_cpi": 1.068,
             "ci_unbounded": False,
+            "ipc_ci_lo": 0.9363, "ipc_ci_hi": 1.0363,
             "mean_tag_valid_fraction": 0.5,
             "mean_bpred_table_occupancy": 0.15,
             "records": [rec(0, 1.0), rec(1, 1.01), rec(2, 1.04)],
@@ -428,6 +441,22 @@ def selftest():
     doc = make_sampled_doc()
     doc["sampling"]["ci_lo_cpi"] = 1.5
     expect(doc, False, "CI that does not bracket the mean")
+
+    # An inverted IPC interval, as a CPI upper bound once serialized
+    # as an IPC upper bound of 0 produced.
+    doc = make_sampled_doc()
+    doc["sampling"]["ipc_ci_lo"] = 0.2139
+    doc["sampling"]["ipc_ci_hi"] = 0
+    expect(doc, False, "inverted IPC interval")
+
+    doc = make_sampled_doc()
+    doc["sampling"]["ci_lo_cpi"] = 0
+    doc["sampling"]["ipc_ci_hi"] = None
+    expect(doc, True, "IPC interval unbounded above (null)")
+
+    doc = make_sampled_doc()
+    del doc["sampling"]["ipc_ci_lo"]
+    expect(doc, False, "missing ipc_ci_lo")
 
     doc = make_sampled_doc()
     doc["sampling"]["records"].pop()

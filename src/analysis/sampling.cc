@@ -102,31 +102,36 @@ class ScopedSeconds
  * Warming runs on its own clock: stepping it by more than the worst
  * miss chain per instruction guarantees in-flight fills always retire
  * before the next access, so the MSHRs can never saturate and reject
- * warming traffic. The clock never leaks into a measured run —
- * copyStateFrom transfers tags and LRU order (which use an internal
- * access counter) but no in-flight timestamps.
+ * warming traffic. The clock never leaks into a measured run: the
+ * caches drain (drop in-flight fills and the MRU line) at both
+ * hand-offs, and their LRU order uses an internal access counter.
  */
 constexpr Cycle kWarmCyclesPerInst = 300;
 
 /**
- * Persistent functional-warming state. Microarchitectural history
- * (cache tags, LRU order, predictor tables) accumulates here across
- * the entire fast-forwarded region and is transplanted into each
- * sample's fresh core via copyStateFrom — the SMARTS requirement that
- * long-lived state is continuously warmed, never restarted per sample.
+ * Functional warming of the sampled core's own long-lived state.
+ * Microarchitectural history (cache tags, LRU order, predictor tables,
+ * per-thread history and RAS) lives in the core's MemSystem and
+ * BranchPredictor for the whole run; every fast-forwarded instruction
+ * updates it here and each sample continues from it — the SMARTS
+ * requirement that long-lived state is continuously warmed, never
+ * restarted per sample. The warm model itself keeps only its clock
+ * and the trace buffer.
  */
 struct WarmModel
 {
-    mem::MemSystem mem;
-    bpred::BranchPredictor bpred;
+    mem::MemSystem &mem;
+    bpred::BranchPredictor &bpred;
+    /** Relocates register-space data addresses to each thread's
+     *  region, as the core's own accesses are. */
+    const cpu::Renamer &renamer;
     Cycle now = 0;
     /** One chunk of the functional trace being applied. */
     std::vector<func::TraceRecord> trace;
 
-    WarmModel(const cpu::CpuParams &params, unsigned numThreads)
-        : mem(params.memParams),
-          bpred(params.bpredParams, numThreads, nullptr),
-          trace(func::kTraceChunkInsts)
+    explicit WarmModel(cpu::OooCpu &cpu)
+        : mem(cpu.memSystem()), bpred(cpu.branchPredictor()),
+          renamer(cpu.renamer()), trace(func::kTraceChunkInsts)
     {
     }
 
@@ -138,7 +143,7 @@ struct WarmModel
      */
     void
     apply(const func::TraceRecord &rec, const isa::StaticInst &si,
-          const cpu::Renamer &renamer, ThreadId tid)
+          ThreadId tid)
     {
         mem.instAccess(
             mem::MemSystem::threadTag(tid, isa::layout::pcToAddr(rec.pc)),
@@ -178,9 +183,8 @@ struct WarmModel
  * same sequence of updates as warming after each instruction.
  */
 void
-advance(WarmModel &warm, const cpu::Renamer &renamer,
-        func::FuncSim &sim, const isa::Program &prog, ThreadId tid,
-        InstCount len, InstCount warmTail)
+advance(WarmModel &warm, func::FuncSim &sim, const isa::Program &prog,
+        ThreadId tid, InstCount len, InstCount warmTail)
 {
     const InstCount tail =
         warmTail == 0 ? len : std::min(warmTail, len);
@@ -190,7 +194,7 @@ advance(WarmModel &warm, const cpu::Renamer &renamer,
             std::min(left, func::kTraceChunkInsts), warm.trace.data());
         for (InstCount i = 0; i < n; ++i) {
             const func::TraceRecord &rec = warm.trace[i];
-            warm.apply(rec, prog.inst(rec.pc), renamer, tid);
+            warm.apply(rec, prog.inst(rec.pc), tid);
         }
         left -= n;
     }
@@ -323,7 +327,15 @@ runSmarts(const std::vector<const isa::Program *> &programs,
         return false;
     };
 
-    WarmModel warm(params, n);
+    // One core for the whole run. Its caches and predictor are the
+    // warm model; each sample drains it, so all transient state
+    // (queues, ROB, rename tables) starts cold, as SMARTS intends.
+    cpu::OooCpu cpu(params, programs);
+    std::vector<InstCount> committed(n, 0);
+    cpu.addCommitListener([&committed](const cpu::DynInst &inst) {
+        ++committed[inst.tid];
+    });
+    WarmModel warm(cpu);
     Agg agg;
     HostSplit host;
     SampleTracer tracer(opts.traceWriter);
@@ -334,13 +346,11 @@ runSmarts(const std::vector<const isa::Program *> &programs,
     // warming sees no wrong-path accesses, so the transient is the
     // one region it cannot reproduce faithfully.
     if (opts.warmupInsts) {
-        cpu::OooCpu reloc(params, programs);
         SampleTracer::Span span(tracer, "fast-forward (warm-up)");
         ScopedSeconds tm(host.funcSeconds);
         for (unsigned t = 0; t < n; ++t)
-            advance(warm, reloc.renamer(), *fsim[t], *programs[t],
-                    ThreadId(t), opts.warmupInsts,
-                    opts.sampleFuncWarmInsts);
+            advance(warm, *fsim[t], *programs[t], ThreadId(t),
+                    opts.warmupInsts, opts.sampleFuncWarmInsts);
     }
 
     // Instructions each thread has already covered inside the current
@@ -348,15 +358,6 @@ runSmarts(const std::vector<const isa::Program *> &programs,
     // consecutive samples start exactly samplePeriodInsts apart.
     std::vector<InstCount> coveredInPeriod(n, 0);
     while (agg.insts < opts.measureInsts && !anyHalted()) {
-        // A fresh core per sample: all transient state (queues, ROB,
-        // rename tables) starts cold, as SMARTS intends; the
-        // long-lived state is transplanted from the warm model below.
-        cpu::OooCpu cpu(params, programs);
-        std::vector<InstCount> committed(n, 0);
-        cpu.addCommitListener([&committed](const cpu::DynInst &inst) {
-            ++committed[inst.tid];
-        });
-
         {
             SampleTracer::Span span(tracer, "fast-forward");
             ScopedSeconds tm(host.funcSeconds);
@@ -365,15 +366,17 @@ runSmarts(const std::vector<const isa::Program *> &programs,
                     opts.samplePeriodInsts > coveredInPeriod[t]
                         ? opts.samplePeriodInsts - coveredInPeriod[t]
                         : 0;
-                advance(warm, cpu.renamer(), *fsim[t], *programs[t],
-                        ThreadId(t), gap, opts.sampleFuncWarmInsts);
+                advance(warm, *fsim[t], *programs[t], ThreadId(t), gap,
+                        opts.sampleFuncWarmInsts);
             }
         }
         if (anyHalted())
             break;
 
-        cpu.memSystem().copyStateFrom(warm.mem);
-        cpu.branchPredictor().copyStateFrom(warm.bpred);
+        // Warm model -> core: the drain also resets the statistics
+        // warming added to.
+        cpu.drain();
+        std::fill(committed.begin(), committed.end(), 0);
         for (unsigned t = 0; t < n; ++t)
             cpu.switchIn(ThreadId(t), fsim[t]->captureState(),
                          *fmem[t]);
@@ -417,14 +420,13 @@ runSmarts(const std::vector<const isa::Program *> &programs,
         for (InstCount c : committed)
             host.simInsts += double(c);
 
-        // The detailed sample continued warming the transplanted
-        // state; adopt its final tags/tables so nothing the sample
-        // touched is forgotten, then re-advance the functional
-        // masters by exactly what the core committed. Those
-        // instructions' microarchitectural effects are already in the
-        // warm model, so the resync is a pure fast-forward.
-        warm.mem.copyStateFrom(cpu.memSystem());
-        warm.bpred.copyStateFrom(cpu.branchPredictor());
+        // Core -> warm model: the sample's tags and tables stay where
+        // they are, so nothing it touched is forgotten; only its
+        // in-flight fills go. Then re-advance the functional masters
+        // by exactly what the core committed. Those instructions'
+        // microarchitectural effects are already in the caches and
+        // predictor, so the resync is a pure fast-forward.
+        cpu.memSystem().drain();
         {
             ScopedSeconds tm(host.funcSeconds);
             for (unsigned t = 0; t < n; ++t)
@@ -475,7 +477,11 @@ runSimPoint(const std::vector<const isa::Program *> &programs,
 
     mem::SparseMemory fmem;
     func::FuncSim fsim(prog, fmem);
-    WarmModel warm(params, 1);
+    cpu::OooCpu cpu(params, programs);
+    InstCount committed = 0;
+    cpu.addCommitListener(
+        [&committed](const cpu::DynInst &) { ++committed; });
+    WarmModel warm(cpu);
     Agg agg;
     // One representative interval per phase (nearest its centroid),
     // weighted by the fraction of intervals the phase covers. The
@@ -496,14 +502,10 @@ runSimPoint(const std::vector<const isa::Program *> &programs,
         const InstCount switchAt =
             target > opts.warmupInsts ? target - opts.warmupInsts : 0;
 
-        cpu::OooCpu cpu(params, programs);
-        InstCount committed = 0;
-        cpu.addCommitListener(
-            [&committed](const cpu::DynInst &) { ++committed; });
         {
             SampleTracer::Span span(tracer, "fast-forward");
             ScopedSeconds tm(host.funcSeconds);
-            advance(warm, cpu.renamer(), fsim, prog, 0,
+            advance(warm, fsim, prog, 0,
                     switchAt > pos ? switchAt - pos : 0,
                     opts.sampleFuncWarmInsts);
             pos = std::max(pos, switchAt);
@@ -512,8 +514,8 @@ runSimPoint(const std::vector<const isa::Program *> &programs,
             fatal("simpoint mode: program halted during "
                   "fast-forward");
 
-        cpu.memSystem().copyStateFrom(warm.mem);
-        cpu.branchPredictor().copyStateFrom(warm.bpred);
+        cpu.drain();
+        committed = 0;
         cpu.switchIn(0, fsim.captureState(), fmem);
 
         SampleRecord rec;
@@ -559,8 +561,7 @@ runSimPoint(const std::vector<const isa::Program *> &programs,
             host.simCyclesSkipped += double(cpu.skippedCycles());
         }
 
-        warm.mem.copyStateFrom(cpu.memSystem());
-        warm.bpred.copyStateFrom(cpu.branchPredictor());
+        cpu.memSystem().drain();
         {
             ScopedSeconds tm(host.funcSeconds);
             fsim.run(committed);

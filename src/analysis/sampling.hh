@@ -11,19 +11,22 @@
  *    phase, and report the phase-weighted IPC blend as the
  *    whole-program estimate.
  *  - Sampled: SMARTS-style periodic sampling — every samplePeriodInsts
- *    per thread, switch the architectural state into a fresh detailed
- *    core, run sampleDetailWarmInsts of detailed warm-up, and measure
- *    a sampleQuantumInsts quantum; aggregate quanta until measureInsts
- *    instructions have been measured or the program ends.
+ *    per thread, switch the architectural state into the drained
+ *    detailed core, run sampleDetailWarmInsts of detailed warm-up, and
+ *    measure a sampleQuantumInsts quantum; aggregate quanta until
+ *    measureInsts instructions have been measured or the program ends.
  *
- * Long-lived microarchitectural state (cache tags, predictor tables)
- * lives in a persistent warm model that every fast-forwarded
- * instruction updates (continuous functional warming; see
+ * Each run builds one detailed core, before the first fast-forward,
+ * and drains it (OooCpu::drain) before every switch-in, so transient
+ * state starts cold in every sample. Long-lived microarchitectural
+ * state (cache tags, predictor tables) lives in that core's own caches
+ * and predictor for the whole run: every fast-forwarded instruction
+ * warms them (continuous functional warming; see
  * RunOptions::sampleFuncWarmInsts for the tail-only compromise) and
- * that each sample's fresh core adopts via copyStateFrom before
- * switch-in — without it, every sample would restart with cold caches
- * and the sampled estimate would be biased far below the detailed
- * reference.
+ * every sample continues from them — without it, every sample would
+ * restart with cold caches and the sampled estimate would be biased
+ * far below the detailed reference. The caches drop their in-flight
+ * fills at each hand-off between the warm clock and the core's cycles.
  *
  * The hand-off obeys the switch-in invariant (OooCpu::switchIn): after
  * transfer, every architectural register the detailed core would read

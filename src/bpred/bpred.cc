@@ -1,7 +1,5 @@
 #include "bpred/bpred.hh"
 
-#include "sim/logging.hh"
-
 namespace vca::bpred {
 
 BranchPredictor::BranchPredictor(const BPredParams &params,
@@ -109,21 +107,6 @@ BranchPredictor::update(ThreadId tid, Addr pc, bool actualTaken,
 
     train(bim, actualTaken);
     train(gsh, actualTaken);
-}
-
-void
-BranchPredictor::copyStateFrom(const BranchPredictor &other)
-{
-    if (other.bimodal_.size() != bimodal_.size() ||
-        other.gshare_.size() != gshare_.size() ||
-        other.chooser_.size() != chooser_.size() ||
-        other.threads_.size() != threads_.size()) {
-        panic("bpred: copyStateFrom across different geometries");
-    }
-    bimodal_ = other.bimodal_;
-    gshare_ = other.gshare_;
-    chooser_ = other.chooser_;
-    threads_ = other.threads_;
 }
 
 } // namespace vca::bpred

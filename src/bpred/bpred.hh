@@ -81,14 +81,6 @@ class BranchPredictor : public stats::StatGroup
                 std::uint64_t historyAtPredict);
 
     /**
-     * Adopt another predictor's tables, histories and return-address
-     * stacks (panics unless the geometry matches). Sampled simulation
-     * transplants a persistent, functionally-warmed predictor into
-     * each sample's fresh core. Statistics are not copied.
-     */
-    void copyStateFrom(const BranchPredictor &other);
-
-    /**
      * Fraction of direction-table counters trained away from their
      * reset value (bimodal/gshare reset to 1, chooser to 2) — how warm
      * the predictor is. The sampled modes record it at each switch-in

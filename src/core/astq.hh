@@ -43,6 +43,15 @@ class Astq : public stats::StatGroup
 
     void beginCycle() { writesThisCycle_ = 0; }
 
+    /** Drop every queued transfer, as constructed (statistics are the
+     *  owner's to reset). */
+    void
+    clear()
+    {
+        queue_.clear();
+        writesThisCycle_ = 0;
+    }
+
     /** Can `n` more operations be enqueued this cycle? */
     bool
     canEnqueue(unsigned n) const

@@ -45,6 +45,15 @@ class RsidTable : public stats::StatGroup
         table_.resize(entries);
     }
 
+    /** Every entry invalid and the LRU clock at 0, as constructed
+     *  (statistics are the owner's to reset). */
+    void
+    reset()
+    {
+        table_.assign(entries_, Entry{});
+        clock_ = LruClock{};
+    }
+
     std::uint64_t upperBits(Addr addr) const { return addr >> offsetBits_; }
 
     /** Look up the RSID for an address; noRsid on miss. */

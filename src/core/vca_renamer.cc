@@ -53,6 +53,23 @@ VcaRenamer::VcaRenamer(const cpu::CpuParams &params,
 }
 
 void
+VcaRenamer::drain()
+{
+    table_ = RenameTable(table_.sets(), table_.assoc());
+    rsid_.reset();
+    astq_.clear();
+    regState_ = RegStateArray(params_.physRegs);
+    for (unsigned t = 0; t < threads_.size(); ++t) {
+        threads_[t].gbp = layout::globalBasePointer(t);
+        threads_[t].wbp = layout::initialWindowPointer(t);
+    }
+    cycleReadAddrs_.clear();
+    portsUsed_ = 0;
+    lastStall_ = StallCause::FreeList;
+    dryRun_ = DryRun::Off;
+}
+
+void
 VcaRenamer::setThreadContext(ThreadId tid, bool windowedAbi)
 {
     threads_.at(tid).windowedAbi = windowedAbi;

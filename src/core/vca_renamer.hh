@@ -63,6 +63,7 @@ class VcaRenamer : public cpu::Renamer
 
     void validate() const override;
 
+    void drain() override;
     void switchIn(ThreadId tid, const func::ArchState &state) override;
     std::uint64_t readArchReg(ThreadId tid, isa::RegClass cls,
                               RegIndex idx) override;

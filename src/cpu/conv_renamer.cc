@@ -47,22 +47,34 @@ ConvRenamer::ConvRenamer(const CpuParams &params, PhysRegFile &regs,
         fatal("conventional renamer needs more physical registers (%u) "
               "than logical registers (%u)", params.physRegs, needed);
     }
+    rat_.assign(params.numThreads,
+                std::vector<PhysRegIndex>(logicalPerThread_));
+    resetMapping();
+}
 
+void
+ConvRenamer::resetMapping()
+{
     // Initial state: every logical register owns a physical register
     // holding its initial (zero) value; the rest form the free list.
-    rat_.assign(params.numThreads, {});
     PhysRegIndex next = 0;
-    for (unsigned t = 0; t < params.numThreads; ++t) {
-        rat_[t].resize(logicalPerThread_);
-        for (unsigned l = 0; l < logicalPerThread_; ++l) {
-            rat_[t][l] = next;
+    for (auto &rat : rat_) {
+        for (PhysRegIndex &phys : rat) {
+            phys = next;
             regs_.write(next, 0);
             regs_.setReady(next, true);
             ++next;
         }
     }
-    for (unsigned p = next; p < params.physRegs; ++p)
+    freeList_.clear();
+    for (unsigned p = next; p < params_.physRegs; ++p)
         freeList_.push_back(static_cast<PhysRegIndex>(p));
+}
+
+void
+ConvRenamer::drain()
+{
+    resetMapping();
 }
 
 std::int32_t
@@ -186,11 +198,27 @@ WindowConvRenamer::WindowConvRenamer(const CpuParams &params,
       memories_(std::move(memories))
 {
     threads_.resize(params.numThreads);
+    resetWindows();
+}
+
+void
+WindowConvRenamer::resetWindows()
+{
     for (auto &t : threads_) {
+        t = ThreadWindows{};
         t.dirty.assign(numWindows_,
                        std::vector<bool>(isa::windowSlots, false));
         setRenameDepth(t, 0);
     }
+}
+
+void
+WindowConvRenamer::drain()
+{
+    ConvRenamer::drain();
+    resetWindows();
+    transferQueue_.clear();
+    outstandingTransfers_ = 0;
 }
 
 Addr

@@ -52,6 +52,7 @@ class ConvRenamer : public Renamer
         return true;
     }
 
+    void drain() override;
     void switchIn(ThreadId tid, const func::ArchState &state) override;
     std::uint64_t readArchReg(ThreadId tid, isa::RegClass cls,
                               RegIndex idx) override;
@@ -61,6 +62,10 @@ class ConvRenamer : public Renamer
     stats::Scalar renameStallsFreeList;
 
   protected:
+    /** Every logical register mapped to a zeroed, ready physical
+     *  register and the rest free, as constructed. */
+    void resetMapping();
+
     /** Logical index of an architectural register for this thread. */
     virtual std::int32_t logicalIndex(ThreadId tid, isa::RegClass cls,
                                       RegIndex idx) const;
@@ -164,6 +169,7 @@ class WindowConvRenamer : public ConvRenamer
     CommitAction commitInst(DynInst &inst) override;
     void performTrap(ThreadId tid) override;
 
+    void drain() override;
     void switchIn(ThreadId tid, const func::ArchState &state) override;
     std::uint64_t readArchReg(ThreadId tid, isa::RegClass cls,
                               RegIndex idx) override;
@@ -217,6 +223,9 @@ class WindowConvRenamer : public ConvRenamer
         // slot (the call's previous-mapping register).
         PhysRegIndex trapOldRaPhys = invalidPhysReg;
     };
+
+    /** Every thread at depth 0 with clean windows, as constructed. */
+    void resetWindows();
 
     void
     setRenameDepth(ThreadWindows &tw, std::int32_t depth)

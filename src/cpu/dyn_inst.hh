@@ -123,6 +123,16 @@ class InstPool
         free_.push_back(inst);
     }
 
+    /** Return every instruction to the pool at once (a drained core
+     *  drops its in-flight instructions without squashing them). */
+    void
+    releaseAll()
+    {
+        free_.clear();
+        for (const auto &slab : slabs_)
+            free_.push_back(slab.get());
+    }
+
     size_t allocated() const { return slabs_.size(); }
 
   private:

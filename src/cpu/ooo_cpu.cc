@@ -307,11 +307,63 @@ OooCpu::threadMemory(ThreadId tid)
 }
 
 void
+OooCpu::drain()
+{
+    for (ThreadState &ts : threads_) {
+        ts.fetchPc = ts.program->entry;
+        ts.fetchReadyAt = 0;
+        ts.fetchHalted = false;
+        ts.done = false;
+        ts.committed = 0;
+        ts.fetchQueue.clear();
+        ts.rob.clear();
+        ts.lq.clear();
+        ts.sq.clear();
+        ts.renameBlockedUntil = 0;
+        ts.renameBlockReason = RenameBlock::None;
+        ts.icacheStallUntil = 0;
+        ts.renameRefused = false;
+        ts.renameRefusedCause = Renamer::StallCause::FreeList;
+    }
+    pool_.releaseAll();
+    memSys_.drain();
+    regs_.reset();
+    renamer_->drain();
+
+    now_ = 0;
+    nextSeq_ = 1;
+    robCount_ = 0;
+    skippedCycles_ = 0;
+    readyList_.clear();
+    readySortedLen_ = 0;
+    for (auto &waiting : waiters_)
+        waiting.clear();
+    iqCount_ = 0;
+    events_.clear();
+    transferEvents_.clear();
+    pendingTransferValid_ = false;
+    pendingTransfer_ = TransferOp{};
+    storeBuffer_.clear();
+    commitRR_ = 0;
+    renameRR_ = 0;
+    renamerRefusedThisCycle_ = false;
+    std::fill(commitSnapshot_.begin(), commitSnapshot_.end(), 0);
+    for (IdleRenamePhase &phase : idleRename_) {
+        phase.refusals.clear();
+        phase.lsqFull = 0;
+        phase.stop = RenameGate::Ok;
+    }
+    rng_.reseed(params_.rngSeed);
+    resetStats();
+}
+
+void
 OooCpu::switchIn(ThreadId tid, const func::ArchState &state,
                  const mem::SparseMemory &funcMem)
 {
     if (now_ != 0 || committedTotal.value() != 0)
-        panic("switchIn is only legal before the first simulated cycle");
+        panic("switchIn is only legal before the first simulated cycle "
+              "of a new or drained core");
     ThreadState &ts = threads_.at(tid);
     if (state.windowedAbi != ts.program->windowedAbi)
         panic("switchIn ABI mismatch for thread %u", unsigned(tid));
@@ -320,14 +372,14 @@ OooCpu::switchIn(ThreadId tid, const func::ArchState &state,
     // have overwritten an initialized word with zero, so a
     // value-filtered copy would leave stale state behind. Relocation
     // moves register space by whole pages, so each source page is one
-    // destination page.
-    ts.memory->clear();
-    funcMem.forEachPage([&](Addr base, const std::uint64_t *words) {
+    // destination page; pages the image already holds are rewritten
+    // in place.
+    ts.memory->assignPages(funcMem, [&](Addr base) {
         const Addr dst = renamer_->relocateRegSpace(tid, base);
         if (dst % mem::SparseMemory::pageBytes)
             panic("switchIn: relocated page 0x%llx is not page-aligned",
                   (unsigned long long)dst);
-        ts.memory->writePage(dst, words);
+        return dst;
     });
 
     ts.fetchPc = state.pc;

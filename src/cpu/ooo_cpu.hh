@@ -265,13 +265,28 @@ class OooCpu : public stats::StatGroup
     void tick();
 
     /**
+     * Empty the core for another switch-in: every piece of transient
+     * state (fetch queues, ROB, LQ/SQ, store buffer, IQ, event queues,
+     * idle-skip records, the renamer, the cycle count, the RNG) goes
+     * back to what construction builds, and every statistic is reset,
+     * cache and predictor statistics included. In-flight instructions
+     * are dropped, not squashed, so the predictor's histories and RAS
+     * are left as they are. The caches drop their in-flight fills and
+     * MRU line (Cache::drain) and keep their tags and LRU order; the
+     * predictor keeps its tables. Thread memory images are left for
+     * switchIn() to rewrite.
+     */
+    void drain();
+
+    /**
      * Install functionally fast-forwarded state for one thread. Only
-     * legal before the first simulated cycle: copies the functional
-     * memory image wholesale (relocating register-space pages for
-     * renamers that give each thread its own register region),
-     * redirects fetch, and hands the register state to the renamer.
-     * Panics if any architectural register afterwards disagrees with
-     * the functional golden model (the transfer invariant).
+     * legal before the first simulated cycle of a new or drained core:
+     * rewrites the thread's memory image to the functional one
+     * (relocating register-space pages for renamers that give each
+     * thread its own register region), redirects fetch, and hands the
+     * register state to the renamer. Panics if any architectural
+     * register afterwards disagrees with the functional golden model
+     * (the transfer invariant).
      */
     void switchIn(ThreadId tid, const func::ArchState &state,
                   const mem::SparseMemory &funcMem);

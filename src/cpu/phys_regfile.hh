@@ -9,6 +9,7 @@
 #ifndef VCA_CPU_PHYS_REGFILE_HH
 #define VCA_CPU_PHYS_REGFILE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -26,6 +27,14 @@ class PhysRegFile
     }
 
     unsigned numRegs() const { return values_.size(); }
+
+    /** Every register back to 0 and not ready, as constructed. */
+    void
+    reset()
+    {
+        std::fill(values_.begin(), values_.end(), 0);
+        std::fill(ready_.begin(), ready_.end(), 0);
+    }
 
     std::uint64_t
     read(PhysRegIndex reg) const

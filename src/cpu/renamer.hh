@@ -219,11 +219,21 @@ class Renamer
     // ---- Switch-in protocol (functional fast-forward → detailed) ----
 
     /**
+     * Return to the state construction leaves (thread contexts and an
+     * attached probe kept), dropping every in-flight rename without
+     * undoing it: the core is draining its whole pipeline at once and
+     * has already reset the physical register file. Statistics are
+     * left to the owner's resetStats().
+     */
+    virtual void drain() = 0;
+
+    /**
      * Install a functional core's architectural register state as this
      * renamer's committed state for @p tid. Only legal before the
-     * first simulated cycle, while the pipeline is empty; the thread's
-     * memory image must already hold the (relocated) functional image
-     * so renamers that keep registers in memory find their values.
+     * first simulated cycle (of the core's life or since a drain),
+     * while the pipeline is empty; the thread's memory image must
+     * already hold the (relocated) functional image so renamers that
+     * keep registers in memory find their values.
      */
     virtual void switchIn(ThreadId tid, const func::ArchState &state);
 

@@ -120,6 +120,7 @@ Cache::accessSet(Addr line, Addr addr, bool write, Cycle now)
     const Cycle fill = fillLatency(addr, write, now);
     const Cycle total = params_.hitLatency + fill;
 
+    validLines_ += victim->valid ? 0 : 1;
     victim->valid = true;
     victim->dirty = write;
     victim->tag = line;
@@ -135,25 +136,11 @@ Cache::invalidateAll()
 {
     for (Line &l : lines_)
         l = Line{};
+    validLines_ = 0;
     inflight_.clear();
     setMru(nullptr, 0);
     if (next_)
         next_->invalidateAll();
-}
-
-void
-Cache::copyStateFrom(const Cache &other)
-{
-    if (other.numSets_ != numSets_ ||
-        other.params_.assoc != params_.assoc ||
-        other.params_.lineBytes != params_.lineBytes) {
-        panic("cache %s: copyStateFrom across different geometries",
-              params_.name.c_str());
-    }
-    lines_ = other.lines_;
-    stamp_ = other.stamp_;
-    inflight_.clear();
-    setMru(nullptr, 0);
 }
 
 MemSystem::MemSystem(const MemSystemParams &params, stats::StatGroup *parent)

@@ -75,30 +75,32 @@ class Cache : public stats::StatGroup
     void invalidateAll();
 
     /**
-     * Adopt another cache's tag/LRU state (panics unless the geometry
-     * matches). Sampled simulation transplants a persistent,
-     * functionally-warmed hierarchy into each sample's fresh core so
-     * cache state accumulates across samples. Outstanding-miss
-     * bookkeeping is not copied: the destination starts with no
-     * in-flight fills, as if freshly drained.
+     * Forget every in-flight fill and the remembered MRU line, keeping
+     * tags, LRU stamps and statistics. Sampled simulation drains the
+     * core's caches at each hand-off between the warm clock and the
+     * detailed core's cycle count: the two time bases are unrelated,
+     * so nothing timestamped may cross, while the tags and LRU order
+     * (stamped by an internal access counter) carry over untouched.
      */
-    void copyStateFrom(const Cache &other);
+    void
+    drain()
+    {
+        inflight_.clear();
+        setMru(nullptr, 0);
+    }
 
     /**
      * Fraction of lines holding a valid tag — how warm this level is.
-     * The sampled modes record it at each switch-in (right after the
-     * warm-model transplant) so per-sample error can be correlated
-     * with transplant warmth.
+     * The sampled modes record it at each switch-in so per-sample
+     * error can be correlated with warmth. O(1): a count of valid
+     * lines is kept wherever a line turns valid or invalid.
      */
     double
     tagValidFraction() const
     {
         if (lines_.empty())
             return 0;
-        size_t valid = 0;
-        for (const Line &l : lines_)
-            valid += l.valid ? 1 : 0;
-        return double(valid) / double(lines_.size());
+        return double(validLines_) / double(lines_.size());
     }
 
     const CacheParams &params() const { return params_; }
@@ -167,6 +169,7 @@ class Cache : public stats::StatGroup
     unsigned lineShift_ = 0;
     Addr setMask_ = 0; ///< numSets_-1 when a power of two, else 0
     std::vector<Line> lines_; ///< numSets x assoc
+    size_t validLines_ = 0; ///< lines_ entries with valid set
     Cycle stamp_ = 0;
 
     /**
@@ -216,13 +219,13 @@ class MemSystem : public stats::StatGroup
 
     void invalidateAll();
 
-    /** See Cache::copyStateFrom (covers all levels). */
+    /** See Cache::drain (covers all levels). */
     void
-    copyStateFrom(const MemSystem &other)
+    drain()
     {
-        l2_.copyStateFrom(other.l2_);
-        il1_.copyStateFrom(other.il1_);
-        dl1_.copyStateFrom(other.dl1_);
+        l2_.drain();
+        il1_.drain();
+        dl1_.drain();
     }
 
     Cache &icache() { return il1_; }

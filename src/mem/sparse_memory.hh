@@ -14,7 +14,8 @@
  * index-compare-load. The cache holds raw word pointers, which is safe
  * because pages are node-stored in the map (pointers survive rehash)
  * and their backing vectors are sized once and never resized. clear()
- * invalidates every cached pointer by bumping a generation counter.
+ * and assignPages() invalidate every cached pointer by bumping a
+ * generation counter when they erase pages.
  */
 
 #ifndef VCA_MEM_SPARSE_MEMORY_HH
@@ -170,6 +171,34 @@ class SparseMemory
     {
         for (const auto &[pageNum, page] : pages_)
             fn(pageNum << pageShift, page.data());
+    }
+
+    /**
+     * Make this image @p src with each page moved to the page-aligned
+     * address relocate(pageBase); relocate must map distinct pages to
+     * distinct pages. Every page of @p src is written in place
+     * (writePage) and the pages it lacks are erased: the same page
+     * set and words as clear() followed by writePage of each page,
+     * but the pages both images hold keep their storage.
+     */
+    template <typename Relocate>
+    void
+    assignPages(const SparseMemory &src, Relocate &&relocate)
+    {
+        for (const auto &[pageNum, page] : src.pages_)
+            writePage(relocate(pageNum << pageShift), page.data());
+        if (pages_.size() == src.pages_.size())
+            return; // every page here was just written
+        std::vector<Addr> kept;
+        kept.reserve(src.pages_.size());
+        for (const auto &[pageNum, page] : src.pages_)
+            kept.push_back(pageNumber(relocate(pageNum << pageShift)));
+        std::sort(kept.begin(), kept.end());
+        std::erase_if(pages_, [&](const auto &entry) {
+            return !std::binary_search(kept.begin(), kept.end(),
+                                       entry.first);
+        });
+        ++generation_;
     }
 
     /** Drop all contents (invalidates every cached page pointer). */

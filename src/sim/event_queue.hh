@@ -71,6 +71,19 @@ class CalendarQueue
         size_ = 0;
     }
 
+    /** Drop all queued events and rewind to cycle 0, keeping the
+     *  ring's storage: the state reset(horizon()) leaves. */
+    void
+    clear()
+    {
+        for (auto &bucket : buckets_)
+            bucket.clear();
+        overflow_.clear();
+        base_ = 0;
+        nextSeq_ = 0;
+        size_ = 0;
+    }
+
     size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
     Cycle horizon() const { return mask_ + 1; }

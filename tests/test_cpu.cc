@@ -10,14 +10,20 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "cpu/conv_renamer.hh"
 #include "cpu/ooo_cpu.hh"
 #include "func/func_sim.hh"
+#include "trace/json.hh"
+#include "trace/stats_json.hh"
 #include "wload/asm_builder.hh"
 #include "wload/generator.hh"
 #include "wload/profile.hh"
+
+#include "renamer_state.hh"
 
 namespace {
 
@@ -649,6 +655,181 @@ TEST(SwitchIn, AbiMismatchPanics)
     sim.run(100);
     OooCpu cpu(paramsFor(RenamerKind::Vca, 192), {windowed});
     EXPECT_THROW(cpu.switchIn(0, sim.captureState(), fm), PanicError);
+}
+
+/** What a core did over one measured run after a switch-in. */
+struct RunDump
+{
+    std::vector<std::vector<CommitRec>> commits;
+    std::string stats;   ///< text dump
+    std::string json;    ///< stats JSON of the cpu tree
+    std::string renamer; ///< test::renamerState()
+    Cycle cycles = 0;
+    Cycle skipped = 0;
+};
+
+/** Switch every thread in from its functional master, warm up, reset
+ *  the statistics and measure, recording what `dump` compares. */
+void
+runAfterSwitchIn(OooCpu &cpu,
+                 const std::vector<std::unique_ptr<func::FuncSim>> &fsim,
+                 const std::vector<std::unique_ptr<mem::SparseMemory>> &fmem,
+                 RunDump &dump)
+{
+    const size_t n = fsim.size();
+    dump.commits.assign(n, {});
+    attachRecorder(cpu, dump.commits);
+    for (size_t t = 0; t < n; ++t)
+        cpu.switchIn(ThreadId(t), fsim[t]->captureState(), *fmem[t]);
+    const bool smt = n > 1;
+    cpu.run(1'000, cycleBudget(1'000), smt);
+    cpu.resetStats();
+    cpu.run(3'000, cycleBudget(3'000), smt);
+
+    std::ostringstream text;
+    cpu.dump(text);
+    dump.stats = text.str();
+    std::ostringstream json;
+    {
+        trace::JsonWriter w(json);
+        w.beginObject();
+        trace::writeJsonGroup(cpu, w);
+        w.endObject();
+    }
+    dump.json = json.str();
+    dump.renamer = test::renamerState(cpu);
+    dump.cycles = cpu.currentCycle();
+    dump.skipped = cpu.skippedCycles();
+    cpu.renamer().validate();
+}
+
+/** Length of drainProgram()'s straight-line prologue. */
+constexpr InstCount kStraightInsts = 4'000;
+
+/**
+ * A straight-line prologue of kStraightInsts loads, stores and adds
+ * over a few pages (so every renamer allocates and frees registers),
+ * then an endless loop that calls a function
+ * and takes a data-dependent branch. A core that commits less than
+ * the prologue minus its fetch run-ahead never fetches a control
+ * instruction, so its branch predictor stays as constructed.
+ */
+isa::Program
+drainProgram(bool windowed)
+{
+    using isa::Opcode;
+    AsmBuilder b;
+    b.li(9, 0x400000);
+    for (unsigned i = 0; i < kStraightInsts; ++i) {
+        const auto rd = RegIndex(10 + i % 16);
+        const auto rs = RegIndex(10 + (i * 7 + 3) % 16);
+        const auto off = std::int32_t(i * 72 % 8'000);
+        if (i % 4 == 0)
+            b.ld(rd, 9, off);
+        else if (i % 4 == 1)
+            b.st(9, rs, off);
+        else
+            b.emitR(Opcode::Add, rd, rd, rs);
+    }
+    const auto loop = b.newLabel();
+    const auto skip = b.newLabel();
+    const auto func = b.newLabel();
+    b.bind(loop);
+    b.call(func);
+    b.addi(7, 7, 1);
+    b.emitI(Opcode::Andi, 8, 7, 3);
+    b.branch(Opcode::Beq, 8, isa::regZero, skip);
+    b.st(9, 7, 8);
+    b.bind(skip);
+    b.jmp(loop);
+    b.bind(func);
+    b.emitR(Opcode::Add, 4, 4, 7);
+    b.ld(5, 9, 16);
+    b.ret();
+    return makeProgram(b, windowed);
+}
+
+/**
+ * One core runs a quantum inside drainProgram()'s prologue, is drained
+ * and is switched in inside its loop; a fresh core switched in at that
+ * point must then do exactly what it does. The quantum leaves the
+ * predictor as constructed and the kept core's caches are invalidated,
+ * so both cores start from the same cache and predictor state and only
+ * transient state the drain missed could tell them apart.
+ */
+void
+drainedMatchesFresh(RenamerKind kind, unsigned physRegs, bool windowed,
+                    unsigned threads, unsigned extraTicks)
+{
+    const isa::Program prog = drainProgram(windowed);
+    const std::vector<const isa::Program *> progs(threads, &prog);
+    const CpuParams params = paramsFor(kind, physRegs, threads);
+    std::vector<std::unique_ptr<mem::SparseMemory>> fmem;
+    std::vector<std::unique_ptr<func::FuncSim>> fsim;
+    for (unsigned t = 0; t < threads; ++t) {
+        fmem.push_back(std::make_unique<mem::SparseMemory>());
+        fsim.push_back(std::make_unique<func::FuncSim>(prog, *fmem[t]));
+        fsim[t]->run(500);
+    }
+
+    OooCpu kept(params, progs);
+    for (unsigned t = 0; t < threads; ++t)
+        kept.switchIn(ThreadId(t), fsim[t]->captureState(), *fmem[t]);
+    const RunResult quantum =
+        kept.run(2'000, cycleBudget(2'000), threads > 1);
+    ASSERT_GT(quantum.totalInsts, 0u);
+    // Ends the quantum in another round-robin phase.
+    for (unsigned i = 0; i < extraTicks; ++i)
+        kept.tick();
+    ASSERT_EQ(kept.branchPredictor().lookups.value(), 0.0);
+    ASSERT_EQ(kept.branchPredictor().tableOccupancy(), 0.0);
+    for (unsigned t = 0; t < threads; ++t)
+        fsim[t]->run(kStraightInsts + 2'500);
+    kept.drain();
+    kept.memSystem().invalidateAll();
+    EXPECT_EQ(kept.currentCycle(), 0u);
+
+    OooCpu fresh(params, progs);
+    RunDump want, got;
+    runAfterSwitchIn(fresh, fsim, fmem, want);
+    runAfterSwitchIn(kept, fsim, fmem, got);
+
+    for (unsigned t = 0; t < threads; ++t) {
+        ASSERT_FALSE(want.commits[t].empty()) << "thread " << t;
+        EXPECT_TRUE(got.commits[t] == want.commits[t]) << "thread " << t;
+    }
+    EXPECT_GT(fresh.branchPredictor().lookups.value(), 0.0);
+    EXPECT_EQ(got.cycles, want.cycles);
+    EXPECT_EQ(got.skipped, want.skipped);
+    EXPECT_EQ(got.stats, want.stats);
+    EXPECT_EQ(got.json, want.json);
+    EXPECT_EQ(got.renamer, want.renamer);
+}
+
+TEST(SwitchIn, DrainedCoreMatchesFreshCore)
+{
+    const struct
+    {
+        RenamerKind kind;
+        unsigned physRegs;
+        bool windowed;
+        unsigned threads;
+        const char *name;
+    } cases[] = {
+        {RenamerKind::Baseline, 256, false, 1, "baseline"},
+        {RenamerKind::ConvWindow, 256, true, 1, "register window"},
+        {RenamerKind::IdealWindow, 256, true, 1, "ideal"},
+        {RenamerKind::Vca, 192, true, 1, "vca"},
+        {RenamerKind::Vca, 192, true, 2, "vca, 2 threads"},
+    };
+    for (const auto &c : cases) {
+        for (unsigned extraTicks : {0u, 1u}) {
+            SCOPED_TRACE(std::string(c.name) + ", +" +
+                         std::to_string(extraTicks) + " ticks");
+            drainedMatchesFresh(c.kind, c.physRegs, c.windowed,
+                                c.threads, extraTicks);
+        }
+    }
 }
 
 TEST(SwitchIn, OnlyLegalBeforeFirstCycle)

@@ -5,8 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+#include <vector>
+
 #include "mem/cache.hh"
 #include "mem/sparse_memory.hh"
+#include "sim/rng.hh"
 
 namespace {
 
@@ -182,15 +188,44 @@ TEST_F(MruTest, RepeatedLineHits)
     EXPECT_DOUBLE_EQ(l1_.writebacks.value(), 1.0);
 }
 
-TEST_F(MruTest, CopyStateFromColdCacheForgetsTheLine)
+TEST_F(MruTest, DrainForgetsTheLineAndInflightFillsKeepsTags)
 {
-    stats::StatGroup coldRoot("cold");
-    Cache cold({"l1", 4 * 1024, 1, 64, 3, 4}, nullptr, 250, &coldRoot);
-    l1_.access(0x1000, false, 0);
-    EXPECT_TRUE(l1_.access(0x1000, false, 1000).hit);
-    l1_.copyStateFrom(cold);
-    EXPECT_FALSE(l1_.access(0x1000, false, 2000).hit);
-    expectCounts(3, 1, 2);
+    // A drain is the hand-off between the warm clock and a core's
+    // cycles: time may restart below every fill's completion, so the
+    // in-flight fills and the remembered line go; tags stay.
+    for (unsigned i = 0; i < 4; ++i)
+        EXPECT_FALSE(l1_.access(0x10000 + i * 64, false, 100).hit);
+    const Addr fifth = 0x10000 + 4 * 64;
+    EXPECT_FALSE(l1_.access(fifth, false, 100).accepted); // MSHRs full
+    l1_.drain();
+    l2_.drain();
+    // Nothing is in flight at cycle 0, so the fifth line is accepted.
+    const AccessResult r = l1_.access(fifth, false, 0);
+    EXPECT_TRUE(r.accepted);
+    EXPECT_FALSE(r.hit);
+    // The first four lines kept their tags: each is a plain hit.
+    for (unsigned i = 0; i < 4; ++i) {
+        const AccessResult h = l1_.access(0x10000 + i * 64, false, 1);
+        EXPECT_TRUE(h.hit);
+        EXPECT_EQ(h.latency, 3u);
+    }
+    expectCounts(9, 4, 5);
+    EXPECT_DOUBLE_EQ(l1_.mshrRejects.value(), 1.0);
+}
+
+TEST_F(MruTest, DrainedLineStillHitsAfterTimeRestarts)
+{
+    // The remembered line is forgotten, but its tag is not: the first
+    // re-access after a drain takes the tag check and hits.
+    l1_.access(0x1000, true, 5000);
+    EXPECT_TRUE(l1_.access(0x1000, false, 5001).hit);
+    l1_.drain();
+    EXPECT_TRUE(l1_.access(0x1000, false, 0).hit);
+    EXPECT_TRUE(l1_.access(0x1008, false, 1).hit);
+    expectCounts(4, 3, 1);
+    // The line stayed dirty across the drain.
+    l1_.access(0x2000, false, 1000);
+    EXPECT_DOUBLE_EQ(l1_.writebacks.value(), 1.0);
 }
 
 TEST_F(MruTest, InvalidateAllForgetsTheLine)
@@ -245,6 +280,97 @@ TEST_F(MruTest, MergeClearsTheLine)
     EXPECT_EQ(m1.latency, r1.latency - 2);
     EXPECT_EQ(m2.latency, r1.latency - 3);
     expectCounts(4, 0, 4);
+}
+
+TEST(Cache, TagValidFractionMatchesARecount)
+{
+    // A set's valid lines only grow, up to the associativity, until
+    // invalidateAll: so the recount is, per set, the smaller of the
+    // associativity and the distinct lines accepted since then.
+    stats::StatGroup root("root");
+    const CacheParams params{"c", 2 * 1024, 2, 64, 3, 4};
+    Cache c(params, nullptr, 250, &root);
+    const size_t lines = params.sizeBytes / params.lineBytes;
+    const size_t sets = lines / params.assoc;
+    std::vector<std::set<Addr>> seen(sets);
+    const auto recount = [&] {
+        size_t valid = 0;
+        for (const auto &set : seen)
+            valid += std::min<size_t>(set.size(), params.assoc);
+        return double(valid) / double(lines);
+    };
+
+    Rng rng(11);
+    Cycle now = 0;
+    for (unsigned i = 0; i < 20'000; ++i) {
+        if (rng.chance(0.001)) {
+            c.invalidateAll();
+            for (auto &set : seen)
+                set.clear();
+        } else {
+            const Addr line = rng.below(96);
+            const AccessResult r =
+                c.access(line * params.lineBytes + rng.below(8) * 8,
+                         rng.chance(0.3), now);
+            if (r.accepted)
+                seen[line % sets].insert(line);
+            now += rng.below(40);
+        }
+        ASSERT_EQ(c.tagValidFraction(), recount()) << "step " << i;
+    }
+    EXPECT_GT(c.mshrRejects.value(), 0.0);
+}
+
+/** Every page of @p m as (base, words), in address order. */
+std::map<Addr, std::vector<std::uint64_t>>
+pagesOf(const SparseMemory &m)
+{
+    std::map<Addr, std::vector<std::uint64_t>> pages;
+    m.forEachPage([&](Addr base, const std::uint64_t *words) {
+        pages[base].assign(words, words + SparseMemory::wordsPerPage);
+    });
+    return pages;
+}
+
+TEST(SparseMemory, AssignPagesMatchesClearThenWritePage)
+{
+    constexpr Addr page = SparseMemory::pageBytes;
+    constexpr Addr shift = 64 * page;
+    const auto relocate = [](Addr base) {
+        return base >= 32 * page ? base + shift : base;
+    };
+    SparseMemory src;
+    for (Addr p : {1, 2, 40, 41})
+        src.write(p * page + 8 * p, 100 + p);
+    SparseMemory want; // what clear() then writePage of each page gives
+    src.forEachPage([&](Addr base, const std::uint64_t *words) {
+        want.writePage(relocate(base), words);
+    });
+
+    for (unsigned extra : {0u, 1u, 2u}) {
+        SparseMemory dst;
+        // Pages src also holds (after relocation), with words src's
+        // pages overwrite with zeros, plus `extra` pages it lacks.
+        dst.write(2 * page + 24, 7);
+        dst.write(40 * page + shift + 32, 9);
+        if (extra > 0)
+            dst.write(77 * page, 13);
+        if (extra > 1)
+            dst.write(5 * page, 11);
+        // Prime the page-pointer cache on every page.
+        EXPECT_EQ(dst.read(2 * page + 24), 7u);
+        EXPECT_EQ(dst.read(77 * page), extra > 0 ? 13u : 0u);
+        EXPECT_EQ(dst.read(5 * page), extra > 1 ? 11u : 0u);
+
+        dst.assignPages(src, relocate);
+        EXPECT_EQ(pagesOf(dst), pagesOf(want)) << "extra " << extra;
+        // Reads agree too: no cached pointer outlives its page.
+        EXPECT_EQ(dst.read(77 * page), 0u);
+        EXPECT_EQ(dst.read(5 * page), 0u);
+        EXPECT_EQ(dst.read(2 * page + 24), 0u);
+        EXPECT_EQ(dst.read(2 * page + 16), 102u);
+        EXPECT_EQ(dst.read(41 * page + shift + 8 * 41), 141u);
+    }
 }
 
 TEST(MemSystem, ThreadTagSeparatesSpaces)

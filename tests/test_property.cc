@@ -30,7 +30,6 @@
 
 #include "analysis/runner.hh"
 #include "analysis/sampling.hh"
-#include "core/vca_renamer.hh"
 #include "cpu/ooo_cpu.hh"
 #include "func/func_sim.hh"
 #include "sim/rng.hh"
@@ -43,10 +42,13 @@
 #include "wload/generator.hh"
 #include "wload/profile.hh"
 
+#include "renamer_state.hh"
+
 namespace {
 
 using namespace vca;
 using namespace vca::cpu;
+using test::renamerState;
 
 wload::BenchProfile
 randomProfile(std::uint64_t seed)
@@ -478,63 +480,6 @@ struct DetailedDump
     Cycle skipped = 0;
 };
 
-void
-dumpEntry(std::ostream &os, const core::TableEntry &e)
-{
-    os << " addr " << e.addr << " rsid " << e.rsid << " front "
-       << e.front << " commit " << e.commit << " spec "
-       << e.specProducers << " lru " << e.lru << "\n";
-}
-
-/**
- * Every PhysState, rename-table entry and RSID entry of a VCA renamer
- * (ideal windows included), LRU stamps and stamp counters included;
- * "" for the conventional renamers. Replayed refusals must leave all
- * of it exactly as ticking does.
- */
-std::string
-renamerState(OooCpu &cpu)
-{
-    const auto *vca = dynamic_cast<const core::VcaRenamer *>(&cpu.renamer());
-    if (!vca)
-        return "";
-    std::ostringstream os;
-    const core::RegStateArray &regs = vca->regState();
-    const core::RenameTable &table = vca->table();
-    os << "stamps: regs " << regs.clock().now() << " table "
-       << table.clock().now() << " rsid " << vca->rsid().clock().now()
-       << "; free " << regs.numFree() << "\n";
-    for (unsigned p = 0; p < regs.numRegs(); ++p) {
-        const core::PhysState &s = regs[PhysRegIndex(p)];
-        os << "p" << p << " addr " << s.addr << " ref " << s.refCount
-           << " ow " << s.overwriters << " c" << s.committed << " d"
-           << s.dirty << " f" << s.fillPending << " z" << s.zombie
-           << " lru " << s.lru << "\n";
-    }
-    if (table.unbounded()) {
-        std::vector<const core::TableEntry *> entries;
-        table.forEach([&](const core::TableEntry &e) {
-            entries.push_back(&e);
-        });
-        std::sort(entries.begin(), entries.end(),
-                  [](const auto *a, const auto *b) {
-                      return a->addr < b->addr;
-                  });
-        for (const core::TableEntry *e : entries)
-            dumpEntry(os << "entry", *e);
-    } else {
-        for (size_t w = 0; w < table.ways().size(); ++w) {
-            const core::TableEntry &e = table.ways()[w];
-            dumpEntry(os << "way " << w << (e.valid ? "" : " invalid"), e);
-        }
-    }
-    for (unsigned r = 0; r < vca->rsid().size(); ++r) {
-        os << "rsid " << r << " ref " << vca->rsid().refCount(int(r))
-           << " lru " << vca->rsid().lru(int(r)) << "\n";
-    }
-    return os.str();
-}
-
 /** Warm up, reset, measure (or hit `measureCycles`), dump the stats. */
 DetailedDump
 detailedRun(const std::vector<const isa::Program *> &progs,
@@ -727,8 +672,9 @@ TEST(IdleSkipping, RegCacheAnalyzerTurnsSkippingOff)
 
 TEST(IdleSkipping, SampledStatsMatchTickByTick)
 {
-    // Sampled mode switches a fresh core in per sample; its skipped
-    // cycles feed host.sim_cycles_skipped.
+    // Sampled mode drains its one core and switches it in per
+    // sample; each sample's skipped cycles feed
+    // host.sim_cycles_skipped.
     const stats::HostStats &host = stats::HostStats::global();
     double skipped = 0;
     for (const SkipCase &c : skipCases(2)) {
