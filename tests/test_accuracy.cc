@@ -14,9 +14,11 @@
  *    VCA_ACCURACY_SPEEDUP) the host-MIPS of the detailed side,
  *    measured from the HostStats func/sim split of the very same
  *    sampled runs;
- *  - stability: sampled numbers are golden (tests/golden/sampled.json,
- *    refresh with VCA_UPDATE_GOLDEN=1) and bit-identical across sweep
- *    job counts and across process isolation.
+ *  - stability: sampled and SimPoint measurements are golden, every
+ *    field including the sampling summary and per-sample records
+ *    (tests/golden/sampled.json, refresh with VCA_UPDATE_GOLDEN=1), and
+ *    bit-identical across sweep job counts and across process
+ *    isolation.
  *
  * scripts/accuracy_gate.py enforces the same epsilon/speedup contract
  * from the command line; scripts/check.sh runs both.
@@ -32,6 +34,7 @@
 #include <vector>
 
 #include "analysis/runner.hh"
+#include "golden_json.hh"
 #include "stats/host_stats.hh"
 #include "trace/json.hh"
 #include "wload/generator.hh"
@@ -226,7 +229,8 @@ TEST(Accuracy, FunctionalSideAtLeastFiveTimesDetailedMips)
 
 namespace {
 
-/** The golden sampled sweep: every architecture, fixed seed policy. */
+/** The golden sampled sweep: every architecture in SMARTS mode, plus
+ *  one SimPoint point (VCA), fixed seed policy. */
 std::vector<analysis::SweepPoint>
 goldenSampledPoints()
 {
@@ -235,6 +239,9 @@ goldenSampledPoints()
         points.push_back(analysis::makePoint("crafty", kind,
                                              regsFor(kind),
                                              sampledOpts()));
+    points.push_back(analysis::makePoint("crafty", cpu::RenamerKind::Vca,
+                                         regsFor(cpu::RenamerKind::Vca),
+                                         simpointOpts()));
     return points;
 }
 
@@ -272,9 +279,12 @@ TEST(Accuracy, GoldenSampledNumbers)
             w.beginObject();
             w.key("arch").string(cpu::renamerKindName(points[i].kind));
             w.key("regs").number(std::uint64_t(points[i].physRegs));
+            w.key("mode").string(
+                analysis::simModeName(points[i].opts.mode));
             w.key("ok").boolean(results[i].ok);
             w.key("cycles").number(std::uint64_t(results[i].cycles));
             w.key("insts").number(std::uint64_t(results[i].insts));
+            test::writeMeasurementPin(w, results[i]);
             w.endObject();
         }
         w.endArray();
@@ -299,8 +309,12 @@ TEST(Accuracy, GoldenSampledNumbers)
     ASSERT_EQ(golden->size(), points.size());
     for (size_t i = 0; i < points.size(); ++i) {
         const trace::JsonValue &g = golden->at(i);
-        const std::string label = cpu::renamerKindName(points[i].kind);
-        EXPECT_EQ(g.find("arch")->asString(), label);
+        const std::string arch = cpu::renamerKindName(points[i].kind);
+        const std::string label =
+            arch + " " + analysis::simModeName(points[i].opts.mode);
+        EXPECT_EQ(g.find("arch")->asString(), arch);
+        EXPECT_EQ(g.find("mode")->asString(),
+                  analysis::simModeName(points[i].opts.mode));
         EXPECT_EQ(g.find("ok")->asBool(), results[i].ok) << label;
         EXPECT_EQ(static_cast<std::uint64_t>(
                       g.find("cycles")->asNumber()),
@@ -310,6 +324,7 @@ TEST(Accuracy, GoldenSampledNumbers)
                       g.find("insts")->asNumber()),
                   static_cast<std::uint64_t>(results[i].insts))
             << label;
+        test::expectMeasurementPin(g, results[i], label);
     }
 }
 

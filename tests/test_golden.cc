@@ -5,10 +5,11 @@
  * Runs a scaled-down but fully deterministic sweep — every renamer
  * kind over a few register-file sizes, plus two SMT mixes — through
  * the SweepRunner with the on-disk cache disabled, and asserts the
- * exact committed-instruction and cycle counts, and each operable
- * point's six-bucket cycle breakdown, against the checked-in numbers
- * in tests/golden/sweep.json. Any change to simulated numbers
- * (intended or not) trips these tests.
+ * exact committed-instruction and cycle counts, each operable point's
+ * six-bucket cycle breakdown, and every field measurementToJson()
+ * writes (counters, dcache rates, per-thread numbers, taxonomy
+ * leaves), against the checked-in numbers in tests/golden/sweep.json.
+ * Any change to simulated numbers (intended or not) trips these tests.
  *
  * Refreshing the goldens after an intended change:
  *
@@ -41,6 +42,7 @@
 
 #include "analysis/experiment.hh"
 #include "analysis/runner.hh"
+#include "golden_json.hh"
 #include "trace/json.hh"
 #include "wload/profile.hh"
 
@@ -132,6 +134,7 @@ writeGoldens(const std::vector<analysis::SweepPoint> &points,
                 w.key(name).number(frac);
             w.endObject();
         }
+        test::writeMeasurementPin(w, m);
         w.endObject();
     }
     w.endArray();
@@ -199,6 +202,7 @@ TEST(Golden, SweepNumbers)
                       g.find("insts")->asNumber()),
                   static_cast<std::uint64_t>(m.insts))
             << label.str();
+        test::expectMeasurementPin(g, m, label.str());
         if (!m.ok)
             continue;
         // Exact fractions: the JSON form round-trips doubles.
