@@ -294,7 +294,44 @@ deriveCycleBreakdown(
     const std::vector<std::pair<std::string, double>> &taxonomy,
     Cycle cycles);
 
-/** Run a timing measurement for an arbitrary program/thread set. */
+/**
+ * The core one configuration simulates: the preset for (kind,
+ * physRegs, threads), then opts' L1D ports, ablation overrides and
+ * seed. Every front end builds its CpuParams here, so a configuration
+ * is the same machine whichever mode or tool runs it.
+ */
+cpu::CpuParams cpuParamsFor(cpu::RenamerKind kind, unsigned physRegs,
+                            unsigned threads, const RunOptions &opts);
+
+/**
+ * Sums measured intervals into one Measurement: a detailed run adds
+ * its one measured interval, a sampled run every measured quantum.
+ * add() reads the interval's RunResult and the core's statistics
+ * (taxonomy leaves, and the VCA rename-stall counters where the
+ * configuration has them), so it runs before the next resetStats().
+ */
+struct IntervalSum
+{
+    Cycle cycles = 0;
+    InstCount insts = 0;
+    double dcacheAccesses = 0;
+    std::vector<InstCount> threadInsts;
+    std::vector<std::pair<std::string, double>> taxonomy;
+    std::vector<std::pair<std::string, double>> counters;
+    unsigned intervals = 0;
+
+    void add(const cpu::OooCpu &cpu, const cpu::RunResult &res);
+
+    /** Set m's ok flag and every summed field: rates, per-thread
+     *  numbers, taxonomy, cycle breakdown and counters. */
+    void fill(Measurement &m) const;
+};
+
+/**
+ * Run a timing measurement for an arbitrary program/thread set: one
+ * detailed warm-up and measured interval, or (opts.mode) a sampled or
+ * SimPoint run through runSampledTiming().
+ */
 Measurement runTiming(const std::vector<const isa::Program *> &programs,
                       cpu::RenamerKind kind, unsigned physRegs,
                       const RunOptions &opts);

@@ -215,6 +215,23 @@ RobustConfig::parsePointTimeout(const char *text, double &out)
 // Measurement (de)serialization
 // ---------------------------------------------------------------------
 
+void
+writeSampleRecord(trace::JsonWriter &w, const SampleRecord &r)
+{
+    w.beginObject();
+    w.key("start_inst").number(std::uint64_t(r.startInst));
+    w.key("warm_cycles").number(std::uint64_t(r.warmCycles));
+    w.key("warm_insts").number(std::uint64_t(r.warmInsts));
+    w.key("cycles").number(std::uint64_t(r.cycles));
+    w.key("insts").number(std::uint64_t(r.insts));
+    w.key("cpi").number(r.cpi);
+    w.key("tag_valid_fraction").number(r.tagValidFraction);
+    w.key("bpred_table_occupancy").number(r.bpredTableOccupancy);
+    w.key("phase").number(double(r.phase));
+    w.key("weight").number(r.weight);
+    w.endObject();
+}
+
 namespace {
 
 void
@@ -269,21 +286,8 @@ writeMeasurement(trace::JsonWriter &w, const Measurement &m)
         w.key("mean_bpred_table_occupancy")
             .number(m.sampling.meanBpredTableOccupancy);
         w.key("records").beginArray();
-        for (const SampleRecord &r : m.sampleRecords) {
-            w.beginObject();
-            w.key("start_inst").number(std::uint64_t(r.startInst));
-            w.key("warm_cycles").number(std::uint64_t(r.warmCycles));
-            w.key("warm_insts").number(std::uint64_t(r.warmInsts));
-            w.key("cycles").number(std::uint64_t(r.cycles));
-            w.key("insts").number(std::uint64_t(r.insts));
-            w.key("cpi").number(r.cpi);
-            w.key("tag_valid_fraction").number(r.tagValidFraction);
-            w.key("bpred_table_occupancy")
-                .number(r.bpredTableOccupancy);
-            w.key("phase").number(double(r.phase));
-            w.key("weight").number(r.weight);
-            w.endObject();
-        }
+        for (const SampleRecord &r : m.sampleRecords)
+            writeSampleRecord(w, r);
         w.endArray();
         w.endObject();
     }

@@ -72,6 +72,10 @@ namespace vca {
 class ThreadPool;
 }
 
+namespace vca::trace {
+class JsonWriter;
+}
+
 namespace vca::telemetry {
 class ChromeTraceWriter;
 }
@@ -126,6 +130,10 @@ std::string measurementToJson(const Measurement &m);
 
 /** Inverse of measurementToJson; throws FatalError on bad input. */
 Measurement measurementFromJson(const std::string &text);
+
+/** Write one SampleRecord as a JSON object, the form both
+ *  measurementToJson and vca-sim's --stats-json use. */
+void writeSampleRecord(trace::JsonWriter &w, const SampleRecord &r);
 
 /**
  * Execution-robustness knobs for a SweepRunner; the defaults keep the

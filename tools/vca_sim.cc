@@ -81,6 +81,39 @@ parseArch(const std::string &name)
           name.c_str());
 }
 
+/**
+ * The RunOptions the flags describe. The sweep, a sampled run and a
+ * single detailed run all measure through these (the detailed run
+ * builds its core with analysis::cpuParamsFor), so a flag means the
+ * same machine on every path: --astq=0 and --table-assoc=0 keep the
+ * preset, as every ParamOverrides zero does.
+ */
+analysis::RunOptions
+runOptionsFromFlags(const Options &opts, unsigned threads,
+                    analysis::SimMode mode)
+{
+    analysis::RunOptions runOpts;
+    runOpts.warmupInsts = opts.getU64("warmup");
+    runOpts.measureInsts = opts.getU64("insts");
+    runOpts.dcachePorts =
+        static_cast<unsigned>(opts.getU64("dcache-ports"));
+    runOpts.numThreads = threads;
+    runOpts.stopOnFirstThread = threads > 1;
+    runOpts.overrides.astqEntries =
+        static_cast<unsigned>(opts.getU64("astq"));
+    runOpts.overrides.vcaTableAssoc =
+        static_cast<unsigned>(opts.getU64("table-assoc"));
+    runOpts.overrides.vcaDeadValueHints =
+        opts.getBool("dead-hints") ? 1 : -1;
+    runOpts.regTelemetry = opts.getBool("reg-telemetry");
+    runOpts.mode = mode;
+    runOpts.samplePeriodInsts = opts.getU64("sample-period");
+    runOpts.sampleQuantumInsts = opts.getU64("sample-quantum");
+    runOpts.sampleFuncWarmInsts = opts.getU64("sample-func-warm");
+    runOpts.sampleDetailWarmInsts = opts.getU64("sample-detail-warm");
+    return runOpts;
+}
+
 int
 simMain(int argc, char **argv)
 {
@@ -108,7 +141,7 @@ simMain(int argc, char **argv)
     opts.add("sample-detail-warm", "1000",
              "sampled mode: detailed warm-up instructions per sample");
     opts.add("dcache-ports", "2", "L1D ports");
-    opts.add("astq", "4", "ASTQ entries (vca)");
+    opts.add("astq", "4", "ASTQ entries (vca; 0 keeps the preset, 4)");
     opts.add("table-assoc", "0",
              "vca rename-table associativity (0 = paper default)");
     opts.add("dead-hints", "false", "enable dead-value hints (vca)");
@@ -212,10 +245,11 @@ simMain(int argc, char **argv)
               opts.get("mode").c_str());
     if (simMode != analysis::SimMode::Detailed) {
         // Instruction-granular observers (pipeline traces, commit
-        // traces, DPRINTF, register telemetry) attach to the one
-        // long-lived core a detailed run measures; the sampled modes
-        // run many short cores, so combining them would be a silent
-        // no-op at best. Error out naming the offending flag.
+        // traces, DPRINTF, register telemetry) attach to the core a
+        // detailed run measures from its first instruction; the
+        // sampled modes drain one core and switch it in per sample
+        // inside the experiment harness, where no observer can reach
+        // it. Error out naming the offending flag.
         // Aggregate observability (--stats, --stats-json, --interval,
         // --chrome-trace) works in every mode: sampled runs export the
         // sampling confidence layer instead of the cpu tree, and
@@ -236,6 +270,8 @@ simMain(int argc, char **argv)
                   "detailed core)", conflict);
         }
     }
+    analysis::RunOptions runOpts = runOptionsFromFlags(
+        opts, static_cast<unsigned>(benchNames.size()), simMode);
 
     // Sweep mode: the (arch x size) grid goes through the parallel
     // sweep runner, memoized on disk, instead of the single-run path.
@@ -257,27 +293,6 @@ simMain(int argc, char **argv)
         } else {
             archs = {parseArch(opts.get("arch"))};
         }
-
-        analysis::RunOptions runOpts;
-        runOpts.warmupInsts = opts.getU64("warmup");
-        runOpts.measureInsts = opts.getU64("insts");
-        runOpts.dcachePorts =
-            static_cast<unsigned>(opts.getU64("dcache-ports"));
-        runOpts.numThreads = static_cast<unsigned>(benchNames.size());
-        runOpts.stopOnFirstThread = benchNames.size() > 1;
-        runOpts.overrides.astqEntries =
-            static_cast<unsigned>(opts.getU64("astq"));
-        runOpts.overrides.vcaTableAssoc =
-            static_cast<unsigned>(opts.getU64("table-assoc"));
-        runOpts.overrides.vcaDeadValueHints =
-            opts.getBool("dead-hints") ? 1 : -1;
-        runOpts.regTelemetry = opts.getBool("reg-telemetry");
-        runOpts.mode = simMode;
-        runOpts.samplePeriodInsts = opts.getU64("sample-period");
-        runOpts.sampleQuantumInsts = opts.getU64("sample-quantum");
-        runOpts.sampleFuncWarmInsts = opts.getU64("sample-func-warm");
-        runOpts.sampleDetailWarmInsts =
-            opts.getU64("sample-detail-warm");
 
         std::vector<analysis::SweepPoint> points;
         for (cpu::RenamerKind arch : archs) {
@@ -411,26 +426,6 @@ simMain(int argc, char **argv)
     // compact summary with the func/host throughput split the
     // accuracy gate parses.
     if (simMode != analysis::SimMode::Detailed) {
-        analysis::RunOptions runOpts;
-        runOpts.warmupInsts = opts.getU64("warmup");
-        runOpts.measureInsts = opts.getU64("insts");
-        runOpts.dcachePorts =
-            static_cast<unsigned>(opts.getU64("dcache-ports"));
-        runOpts.numThreads = static_cast<unsigned>(programs.size());
-        runOpts.stopOnFirstThread = programs.size() > 1;
-        runOpts.overrides.astqEntries =
-            static_cast<unsigned>(opts.getU64("astq"));
-        runOpts.overrides.vcaTableAssoc =
-            static_cast<unsigned>(opts.getU64("table-assoc"));
-        runOpts.overrides.vcaDeadValueHints =
-            opts.getBool("dead-hints") ? 1 : -1;
-        runOpts.mode = simMode;
-        runOpts.samplePeriodInsts = opts.getU64("sample-period");
-        runOpts.sampleQuantumInsts = opts.getU64("sample-quantum");
-        runOpts.sampleFuncWarmInsts = opts.getU64("sample-func-warm");
-        runOpts.sampleDetailWarmInsts =
-            opts.getU64("sample-detail-warm");
-
         // Sample-timeline lane: fast-forward spans, warm-up/measure
         // quanta and transplant instants (host timebase).
         std::unique_ptr<telemetry::ChromeTraceWriter> chromeWriter;
@@ -570,25 +565,8 @@ simMain(int argc, char **argv)
             w.key("mean_bpred_table_occupancy")
                 .number(m.sampling.meanBpredTableOccupancy);
             w.key("records").beginArray();
-            for (const analysis::SampleRecord &r : m.sampleRecords) {
-                w.beginObject();
-                w.key("start_inst")
-                    .number(std::uint64_t(r.startInst));
-                w.key("warm_cycles")
-                    .number(std::uint64_t(r.warmCycles));
-                w.key("warm_insts")
-                    .number(std::uint64_t(r.warmInsts));
-                w.key("cycles").number(std::uint64_t(r.cycles));
-                w.key("insts").number(std::uint64_t(r.insts));
-                w.key("cpi").number(r.cpi);
-                w.key("tag_valid_fraction")
-                    .number(r.tagValidFraction);
-                w.key("bpred_table_occupancy")
-                    .number(r.bpredTableOccupancy);
-                w.key("phase").number(double(r.phase));
-                w.key("weight").number(r.weight);
-                w.endObject();
-            }
+            for (const analysis::SampleRecord &r : m.sampleRecords)
+                analysis::writeSampleRecord(w, r);
             w.endArray();
             w.endObject();
             trace::writeJsonGroup(stats::HostStats::global(), w);
@@ -598,21 +576,13 @@ simMain(int argc, char **argv)
         return 0;
     }
 
-    cpu::CpuParams params = cpu::CpuParams::preset(
+    const cpu::CpuParams params = analysis::cpuParamsFor(
         kind, static_cast<unsigned>(opts.getU64("regs")),
-        static_cast<unsigned>(programs.size()));
-    params.dcachePorts =
-        static_cast<unsigned>(opts.getU64("dcache-ports"));
-    params.astqEntries = static_cast<unsigned>(opts.getU64("astq"));
-    if (opts.getU64("table-assoc") > 0) {
-        params.vcaTableAssoc =
-            static_cast<unsigned>(opts.getU64("table-assoc"));
-    }
-    params.vcaDeadValueHints = opts.getBool("dead-hints");
+        static_cast<unsigned>(programs.size()), runOpts);
     // Read every count before simulating, so a malformed one exits
     // with its flag named instead of as a configuration failure.
-    const InstCount warmup = opts.getU64("warmup");
-    const InstCount insts = opts.getU64("insts");
+    const InstCount warmup = runOpts.warmupInsts;
+    const InstCount insts = runOpts.measureInsts;
     const std::uint64_t traceInsts = opts.getU64("trace");
     const std::uint64_t pipeviewInsts = opts.getU64("pipeview-insts");
     const std::uint64_t chromeInsts = opts.getU64("chrome-trace-insts");
@@ -656,7 +626,7 @@ simMain(int argc, char **argv)
         double warmupCommitted = 0;
         if (warmup) {
             cpu.run(warmup, cpu::cycleBudget(warmup),
-                    programs.size() > 1);
+                    runOpts.stopOnFirstThread);
             warmupCommitted = cpu.committedTotal.value();
             cpu.resetStats();
         }
@@ -694,7 +664,7 @@ simMain(int argc, char **argv)
             });
         }
         const auto res = cpu.run(insts, cpu::cycleBudget(insts),
-                                 programs.size() > 1);
+                                 runOpts.stopOnFirstThread);
         const std::chrono::duration<double> hostElapsed =
             std::chrono::steady_clock::now() - hostStart;
         if (intervals)
