@@ -100,7 +100,7 @@ regWindowSweep(const std::vector<unsigned> &physRegs,
             const Measurement &m = refResults[i];
             if (!m.ok) {
                 // An infrastructure failure (worker crash, deadline)
-                // after retries degrades this benchmark's cells to
+                // degrades this benchmark's cells to
                 // n/a — finishBench() reports it and exits nonzero.
                 // A deterministic simulator failure stays fatal: the
                 // baseline reference configuration must always run.
@@ -245,14 +245,13 @@ writeFigure(const std::string &slug,
         w.endObject();
     }
     w.endArray();
-    // Points lost to infrastructure failures after their retries: the
-    // cells they feed read null.
+    // Points lost to infrastructure failures: the cells they feed
+    // read null.
     w.key("failures").beginArray();
     for (const auto &f : analysis::SweepRunner::global().allFailures()) {
         w.beginObject();
         w.key("label").string(f.label);
         w.key("error").string(f.error);
-        w.key("attempts").number(std::uint64_t(f.attempts));
         w.endObject();
     }
     w.endArray();
@@ -299,13 +298,14 @@ finishBench()
     if (failures.empty())
         return 0;
     std::fprintf(stderr,
-                 "bench: %zu sweep point(s) failed after retries; the "
-                 "affected cells read n/a:\n",
+                 "bench: %zu sweep point(s) failed; the affected cells "
+                 "read n/a:\n",
                  failures.size());
     for (const auto &f : failures) {
-        std::fprintf(stderr, "  %s: %s (%u attempt%s)\n",
-                     f.label.c_str(), f.error.c_str(), f.attempts,
-                     f.attempts == 1 ? "" : "s");
+        std::fprintf(stderr,
+                     "  %s: %s (reproduce in-process: rerun with "
+                     "VCA_ISOLATE=0)\n",
+                     f.label.c_str(), f.error.c_str());
     }
     return 3;
 }

@@ -136,10 +136,10 @@ void printSeries(const char *title, const char *valueName,
 /**
  * Bench epilogue: the value every bench main() returns. Reports sweep
  * points lost to infrastructure failures (worker crashes, deadlines)
- * after their retry budget — the affected cells already printed as
- * "n/a" — with a stderr summary, and turns them into a nonzero exit
- * code so CI and scripts notice a degraded run. Returns 0 when every
- * point completed.
+ * — the affected cells already printed as "n/a" — with a stderr
+ * summary naming how to reproduce each in-process, and turns them into
+ * a nonzero exit code so CI and scripts notice a degraded run. Returns
+ * 0 when every point completed.
  */
 int finishBench();
 

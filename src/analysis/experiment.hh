@@ -225,8 +225,9 @@ struct Measurement
     /**
      * True when the failure is an infrastructure fault (worker crash,
      * deadline, escaped exception) rather than a property of the
-     * simulated configuration. Infra failures are never cached — the
-     * same point may well succeed on a retry or the next run — while
+     * simulated configuration. Infra failures are never cached — a
+     * host fault (a killed worker, a missed deadline) must not
+     * masquerade as a simulated result on the next run — while
      * !ok && !infra ("No Baseline") is a legitimate, cacheable result.
      */
     bool infra = false;

@@ -11,7 +11,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -20,9 +19,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "sim/fault_inject.hh"
 #include "sim/logging.hh"
-#include "sim/options.hh"
 #include "sim/thread_pool.hh"
 #include "stats/host_stats.hh"
 #include "telemetry/chrome_trace.hh"
@@ -180,20 +177,7 @@ RobustConfig::fromEnv()
     if (const char *v = std::getenv("VCA_POINT_TIMEOUT");
         v && *v && !parsePointTimeout(v, r.pointTimeoutSec))
         warn("ignoring VCA_POINT_TIMEOUT='%s' (want seconds >= 0)", v);
-    if (const char *v = std::getenv("VCA_RETRIES");
-        v && *v && !parseRetries(v, r.retries))
-        warn("ignoring VCA_RETRIES='%s' (want an integer >= 0)", v);
     return r;
-}
-
-bool
-RobustConfig::parseRetries(const char *text, unsigned &out)
-{
-    const auto n = parseU64(text);
-    if (!n || *n >= std::numeric_limits<unsigned>::max())
-        return false; // retries + 1 attempts would wrap to 0
-    out = static_cast<unsigned>(*n);
-    return true;
 }
 
 bool
@@ -476,12 +460,7 @@ ResultCache::load(const SweepPoint &point, Measurement &out) const
     std::ostringstream buf;
     buf << is.rdbuf();
     is.close();
-    std::string text = buf.str();
-    if (FaultInjector::global().shouldFire(FaultSite::CacheCorruptRead,
-                                           pointHash(point)) &&
-        !text.empty()) {
-        text[text.size() / 2] ^= 0xFF; // simulated on-disk bit rot
-    }
+    const std::string text = buf.str();
     if (text.empty()) {
         quarantineEntry(path, "empty");
         return false;
@@ -538,11 +517,6 @@ ResultCache::store(const SweepPoint &point, const Measurement &m) const
 {
     if (!enabled())
         return false;
-    if (FaultInjector::global().shouldFire(FaultSite::CacheWriteFail,
-                                           pointHash(point))) {
-        noteWriteError("cache write failed (injected fault)");
-        return false;
-    }
     std::error_code ec;
     fs::create_directories(dir_, ec);
     if (ec) {
@@ -607,9 +581,11 @@ SweepRunner::SweepRunner(const SweepConfig &config)
       pointsFailed(this, "points_failed",
                    "simulated points that cannot operate"),
       pointsInfraFailed(this, "points_infra_failed",
-                        "points lost to crashes/timeouts after retries"),
+                        "points lost to crashes, deadlines or escaped "
+                        "exceptions"),
       pointsRetried(this, "points_retried",
-                    "extra point attempts beyond the first"),
+                    "always 0: each point is attempted once (kept for "
+                    "perfbench)"),
       pointsTimedOut(this, "points_timed_out",
                      "point deadlines that expired"),
       sweepSeconds(this, "sweep_seconds", "wall-clock spent in run()"),
@@ -633,10 +609,6 @@ SweepRunner::SweepRunner(const SweepConfig &config)
       config_(config),
       cache_(config.cacheDir)
 {
-    // Parse VCA_FAULT_INJECT on the constructing thread. Parsed first
-    // inside a pool job (a cache store), a malformed spec's FatalError
-    // would be swallowed by the pool and the sweep would wait forever.
-    FaultInjector::global();
     if (config_.jobs) {
         ownedPool_ = std::make_unique<ThreadPool>(config_.jobs);
         pool_ = ownedPool_.get();
@@ -671,6 +643,12 @@ SweepRunner::robust() const
 {
     std::lock_guard<std::mutex> lock(robustMutex_);
     return config_.robust;
+}
+
+void
+SweepRunner::setPointHook(std::function<void(const SweepPoint &)> hook)
+{
+    pointHook_ = std::move(hook);
 }
 
 std::vector<PointFailure>
@@ -727,6 +705,17 @@ pointLabel(const SweepPoint &point)
     }
     return benches + "/" + cpu::renamerKindName(point.kind) + "/" +
            std::to_string(point.physRegs);
+}
+
+/** A point the infrastructure failed to answer: never cached. */
+Measurement
+infraFailure(std::string error)
+{
+    Measurement m;
+    m.ok = false;
+    m.infra = true;
+    m.error = std::move(error);
+    return m;
 }
 
 /** Atomic tmp+rename write of a child's result document. */
@@ -836,6 +825,8 @@ struct SweepProgress
 Measurement
 SweepRunner::executePoint(const SweepPoint &point) const
 {
+    if (pointHook_)
+        pointHook_(point);
     RunOptions opts = point.opts;
     opts.seed = pointSeed(point);
     std::vector<const isa::Program *> programs;
@@ -847,51 +838,56 @@ SweepRunner::executePoint(const SweepPoint &point) const
     return runTiming(programs, point.kind, point.physRegs, opts);
 }
 
-bool
-SweepRunner::runIsolated(const SweepPoint &point,
-                         const RobustConfig &robust, unsigned attempt,
-                         Measurement &out, std::string &error,
-                         bool &timedOut) const
+Measurement
+SweepRunner::attemptPoint(const SweepPoint &point,
+                          const RobustConfig &robust, bool &timedOut) const
 {
     timedOut = false;
-    const std::uint64_t hash = pointHash(point);
-    std::ostringstream name;
-    name << "vca-point-" << hashHex(hash) << "." << ::getpid() << "."
-         << attempt << ".json";
     std::error_code ec;
-    const std::string resultPath =
-        (fs::temp_directory_path(ec) / name.str()).string();
-    if (ec) {
-        // No usable temp dir: isolation is impossible, fall through to
-        // the in-process path (the retry loop treats this as success).
-        out = executePoint(point);
-        return true;
+    const fs::path tmpDir =
+        robust.isolate ? fs::temp_directory_path(ec) : fs::path();
+    pid_t pid = -1;
+    if (robust.isolate && !ec) {
+        // Buffered stdio written before the fork must not be flushed
+        // twice (once by each process) after it.
+        std::fflush(stdout);
+        std::fflush(stderr);
+        pid = ::fork();
+        if (pid < 0)
+            ec.assign(errno, std::generic_category());
+    }
+    if (pid < 0) {
+        if (ec) {
+            static std::atomic<bool> warnedNoIsolation{false};
+            if (!warnedNoIsolation.exchange(true)) {
+                warn("cannot isolate sweep points (%s); running them "
+                     "in-process", ec.message().c_str());
+            }
+        }
+        try {
+            return executePoint(point);
+        } catch (const std::exception &e) {
+            // runTiming absorbs FatalError itself; anything that
+            // reaches here is a simulator bug. Fail the point, never
+            // the batch.
+            return infraFailure(e.what());
+        } catch (...) {
+            return infraFailure(
+                "non-standard exception escaped the simulation");
+        }
     }
 
-    // Buffered stdio written before the fork must not be flushed twice
-    // (once by each process) after it.
-    std::fflush(stdout);
-    std::fflush(stderr);
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-        static std::atomic<bool> warnedFork{false};
-        if (!warnedFork.exchange(true)) {
-            warn("fork failed (%s); running sweep points in-process",
-                 std::strerror(errno));
-        }
-        out = executePoint(point);
-        return true;
-    }
+    // One result file per worker, named by the worker's pid.
+    const auto resultPathFor = [&tmpDir, &point](pid_t worker) {
+        std::ostringstream name;
+        name << "vca-point-" << hashHex(pointHash(point)) << "."
+             << worker << ".json";
+        return (tmpDir / name.str()).string();
+    };
     if (pid == 0) {
         // Child. Only _exit() from here: exit() would run the parent's
         // atexit handlers and flush its inherited streams.
-        const FaultInjector &fi = FaultInjector::global();
-        if (fi.shouldFire(FaultSite::WorkerCrash, hash, attempt))
-            ::_exit(113);
-        if (fi.shouldFire(FaultSite::WorkerHang, hash, attempt)) {
-            for (;;)
-                ::pause();
-        }
+        const std::string resultPath = resultPathFor(::getpid());
         int code = 0;
         try {
             // Host-time deltas around the simulation travel back in
@@ -940,6 +936,7 @@ SweepRunner::runIsolated(const SweepPoint &point,
 
     // Parent: reap with the optional deadline. Elapsed time is compared
     // in double seconds, so no deadline value can overflow a clock.
+    const std::string resultPath = resultPathFor(pid);
     const bool hasDeadline = robust.pointTimeoutSec > 0;
     const auto start = std::chrono::steady_clock::now();
     int status = 0;
@@ -950,12 +947,12 @@ SweepRunner::runIsolated(const SweepPoint &point,
         if (r < 0) {
             if (errno == EINTR)
                 continue;
-            error = std::string("waitpid failed: ") +
-                    std::strerror(errno);
+            const std::string error =
+                std::string("waitpid failed: ") + std::strerror(errno);
             ::kill(pid, SIGKILL);
             ::waitpid(pid, &status, 0);
             fs::remove(resultPath, ec);
-            return false;
+            return infraFailure(error);
         }
         if (hasDeadline && std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - start)
@@ -963,34 +960,31 @@ SweepRunner::runIsolated(const SweepPoint &point,
             ::kill(pid, SIGKILL);
             ::waitpid(pid, &status, 0);
             timedOut = true;
+            fs::remove(resultPath, ec);
             std::ostringstream msg;
             msg << "worker exceeded the " << robust.pointTimeoutSec
                 << "s point deadline";
-            error = msg.str();
-            fs::remove(resultPath, ec);
-            return false;
+            return infraFailure(msg.str());
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
 
     if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+        fs::remove(resultPath, ec);
         std::ostringstream msg;
         if (WIFSIGNALED(status))
             msg << "worker killed by signal " << WTERMSIG(status);
         else
             msg << "worker exited with status " << WEXITSTATUS(status);
-        error = msg.str();
-        fs::remove(resultPath, ec);
-        return false;
+        return infraFailure(msg.str());
     }
 
     std::string text;
     {
         std::ifstream is(resultPath, std::ios::binary);
-        if (!is) {
-            error = "worker exited cleanly but left no result file";
-            return false;
-        }
+        if (!is)
+            return infraFailure(
+                "worker exited cleanly but left no result file");
         std::ostringstream buf;
         buf << is.rdbuf();
         text = buf.str();
@@ -1002,16 +996,11 @@ SweepRunner::runIsolated(const SweepPoint &point,
         if (!execOk)
             fatal("missing exec_ok");
         if (!execOk->asBool()) {
-            // The child caught a simulator exception. That path is
-            // deterministic — a retry would fail identically — so
-            // report it as a completed infra failure, not a retryable
-            // crash.
+            // The child caught an exception that escaped the
+            // simulation: the in-process path's infra failure.
             const trace::JsonValue *e = doc.find("error");
-            out = Measurement{};
-            out.ok = false;
-            out.infra = true;
-            out.error = e ? e->asString() : "unknown worker error";
-            return true;
+            return infraFailure(e ? e->asString()
+                                  : "unknown worker error");
         }
         if (const trace::JsonValue *host = doc.find("host")) {
             const trace::JsonValue *sec = host->find("seconds");
@@ -1037,67 +1026,11 @@ SweepRunner::runIsolated(const SweepPoint &point,
         const trace::JsonValue *meas = doc.find("measurement");
         if (!meas)
             fatal("missing measurement");
-        out = measurementFromValue(*meas);
-        return true;
+        return measurementFromValue(*meas);
     } catch (const std::exception &e) {
-        error = std::string("worker result unreadable: ") + e.what();
-        return false;
+        return infraFailure(std::string("worker result unreadable: ") +
+                            e.what());
     }
-}
-
-Measurement
-SweepRunner::runPointAttempts(const SweepPoint &point,
-                              const RobustConfig &robust,
-                              unsigned &attempts,
-                              unsigned &timeouts) const
-{
-    // First retry after 100 ms, doubling per further retry.
-    constexpr std::uint64_t kBackoffMs = 100;
-    std::string lastError = "point failed";
-    attempts = 0;
-    timeouts = 0;
-    for (unsigned attempt = 0; attempt <= robust.retries; ++attempt) {
-        attempts = attempt + 1;
-        if (attempt > 0) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                kBackoffMs << (attempt - 1)));
-        }
-        if (robust.isolate) {
-            Measurement m;
-            std::string error;
-            bool timedOut = false;
-            if (runIsolated(point, robust, attempt, m, error, timedOut))
-                return m;
-            if (timedOut)
-                ++timeouts;
-            lastError = error;
-            continue; // crash or deadline kill: retryable
-        }
-        try {
-            return executePoint(point);
-        } catch (const std::exception &e) {
-            // runTiming absorbs FatalError itself; anything that
-            // reaches here is a simulator bug. It is deterministic, so
-            // an in-process retry would fail identically: fail the
-            // point immediately, never the batch.
-            Measurement m;
-            m.ok = false;
-            m.infra = true;
-            m.error = e.what();
-            return m;
-        } catch (...) {
-            Measurement m;
-            m.ok = false;
-            m.infra = true;
-            m.error = "non-standard exception escaped the simulation";
-            return m;
-        }
-    }
-    Measurement m;
-    m.ok = false;
-    m.infra = true;
-    m.error = lastError;
-    return m;
 }
 
 std::vector<Measurement>
@@ -1136,7 +1069,7 @@ SweepRunner::run(const std::vector<SweepPoint> &points)
         size_t remaining = 0;
     } latch;
     std::uint64_t hits = 0, misses = 0, failed = 0;
-    std::uint64_t infraFailed = 0, retried = 0, timedOut = 0;
+    std::uint64_t infraFailed = 0, timedOut = 0;
     std::vector<PointFailure> failures;
     std::mutex statsMutex;
 
@@ -1180,14 +1113,14 @@ SweepRunner::run(const std::vector<SweepPoint> &points)
 
     for (const Work *w : toRun) {
         pool_->submit([this, w, &results, &latch, &statsMutex, &failed,
-                       &infraFailed, &retried, &timedOut, &failures,
-                       &robustCfg, tw, &progress] {
+                       &infraFailed, &timedOut, &failures, &robustCfg,
+                       tw, &progress] {
             progress.onStart();
             const int lane = tw ? hostLaneFor(*tw) : 0;
             const double simStart = tw ? tw->hostNowUs() : 0;
-            unsigned attempts = 1, pointTimeouts = 0;
-            const Measurement m = runPointAttempts(
-                *w->point, robustCfg, attempts, pointTimeouts);
+            bool pointTimedOut = false;
+            const Measurement m =
+                attemptPoint(*w->point, robustCfg, pointTimedOut);
             if (tw) {
                 tw->slice(kHostTracePid, lane,
                           "sim " + pointLabel(*w->point), simStart,
@@ -1205,12 +1138,10 @@ SweepRunner::run(const std::vector<SweepPoint> &points)
                     ++failed;
                 if (m.infra) {
                     ++infraFailed;
-                    failures.push_back(
-                        PointFailure{pointLabel(*w->point), w->hash,
-                                     m.error, attempts});
+                    failures.push_back(PointFailure{
+                        pointLabel(*w->point), w->hash, m.error});
                 }
-                retried += attempts - 1;
-                timedOut += pointTimeouts;
+                timedOut += pointTimedOut;
             }
             progress.onFinish();
             std::lock_guard<std::mutex> lock(latch.mutex);
@@ -1243,7 +1174,6 @@ SweepRunner::run(const std::vector<SweepPoint> &points)
     cacheMisses += static_cast<double>(misses);
     pointsFailed += static_cast<double>(failed);
     pointsInfraFailed += static_cast<double>(infraFailed);
-    pointsRetried += static_cast<double>(retried);
     pointsTimedOut += static_cast<double>(timedOut);
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -1253,19 +1183,14 @@ SweepRunner::run(const std::vector<SweepPoint> &points)
 
     const char *report = std::getenv("VCA_SWEEP_STATS");
     if (report && *report) {
-        // Robustness columns appear only when nonzero, so the clean
+        // The infra column appears only when nonzero, so the clean
         // path's report stays byte-identical to what it always was.
         std::string extra;
-        char buf[96];
         if (infraFailed) {
+            char buf[48];
             std::snprintf(buf, sizeof buf, ", %llu infra-failed",
                           (unsigned long long)infraFailed);
-            extra += buf;
-        }
-        if (retried) {
-            std::snprintf(buf, sizeof buf, ", %llu retried",
-                          (unsigned long long)retried);
-            extra += buf;
+            extra = buf;
         }
         std::fprintf(stderr,
                      "sweep: %zu points (%zu unique): %llu cache hits, "

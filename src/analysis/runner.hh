@@ -19,17 +19,17 @@
  * worker count (VCA_JOBS) or execution order. tests/test_golden.cc
  * pins this down.
  *
- * Fault tolerance: a multi-hour sweep must degrade by points, not by
- * batches. Three layers, all opt-in or invisible on the clean path:
+ * Failure containment: a multi-hour sweep must degrade by points, not
+ * by batches. The simulator is deterministic, so every simulated point
+ * is one attempt: a point that fails is reported once, never retried,
+ * and fails again the same way when rerun. Two layers, both opt-in or
+ * invisible on the clean path:
  *
  *  - Process isolation (RobustConfig::isolate): each simulated point
  *    runs in a forked child that reports its Measurement through a
- *    result file; a crashing or hanging point costs one point (and is
- *    retried), never the batch.
- *  - Deadlines and retries: isolate-mode points get a wall-clock
- *    deadline (SIGKILL + retry, exponential backoff from 100 ms); attempts
- *    that keep failing become a structured PointFailure with
- *    Measurement::infra set, never a cached result.
+ *    result file. A crash, or a kill at the optional wall-clock
+ *    deadline, costs that one point: it becomes a structured
+ *    PointFailure with Measurement::infra set, never a cached result.
  *  - Cache integrity: entries are checksummed end-to-end; corrupt,
  *    truncated or wrong-schema entries are quarantined to
  *    "<cache>/quarantine/" and transparently re-simulated, and write
@@ -45,8 +45,6 @@
  *   VCA_ISOLATE     1 forks one child per simulated point
  *   VCA_POINT_TIMEOUT  per-point deadline in seconds (isolate mode;
  *                   0 = none)
- *   VCA_RETRIES     extra attempts after a crash/timeout (default 2)
- *   VCA_FAULT_INJECT  deterministic chaos spec (sim/fault_inject.hh)
  *
  * Bump kSimVersionTag whenever a change affects simulated numbers —
  * it invalidates every cached measurement at once.
@@ -57,6 +55,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -148,25 +147,19 @@ struct RobustConfig
     /** Per-point wall-clock deadline in seconds; 0 disables. Only
      *  enforceable in isolate mode (a thread cannot be killed). */
     double pointTimeoutSec = 0;
-    /** Extra attempts after a crash or timeout. */
-    unsigned retries = 2;
 
     static RobustConfig fromEnv();
-    /** Parse VCA_RETRIES / --retries with parseU64(); retries + 1
-     *  must fit in unsigned. False (out untouched) otherwise. */
-    static bool parseRetries(const char *text, unsigned &out);
     /** Parse VCA_POINT_TIMEOUT / --point-timeout: finite seconds >= 0
      *  within steady_clock's range. False (out untouched) otherwise. */
     static bool parsePointTimeout(const char *text, double &out);
 };
 
-/** One point that exhausted its attempts (SweepRunner::lastFailures()). */
+/** One point that failed its attempt (SweepRunner::lastFailures()). */
 struct PointFailure
 {
     std::string label;       ///< human label (bench/arch/regs)
     std::uint64_t hash = 0;  ///< pointHash() of the failed point
-    std::string error;       ///< last attempt's error
-    unsigned attempts = 0;   ///< attempts consumed
+    std::string error;       ///< why the attempt failed
 };
 
 /**
@@ -177,7 +170,7 @@ struct PointFailure
  * and bit-flipped bytes all read as misses. Invalid entries are moved
  * to "<dir>/quarantine/<name>.<reason>" for post-mortem rather than
  * deleted, and the sweep re-simulates — corruption is never fatal.
- * Failed writes (ENOSPC, read-only dir, injected faults) downgrade to
+ * Failed writes (ENOSPC, read-only dir, unusable path) downgrade to
  * running uncached, warning once per process. An empty dir disables
  * the cache entirely. A writer killed mid-store leaves at most an
  * orphaned "*.tmp.*" file, which load() never reads.
@@ -256,10 +249,12 @@ struct SweepConfig
  * printed per batch with VCA_SWEEP_STATS=1.
  *
  * Failure containment: a point that crashes, hangs past its deadline
- * or lets an exception escape never tears down the batch. It is
- * retried per RobustConfig and, if still failing, reported as a
- * Measurement with ok=false and infra=true plus a PointFailure entry —
- * the remaining points complete normally.
+ * or lets an exception escape never tears down the batch. Each point
+ * is attempted once; a failed attempt is reported as a Measurement
+ * with ok=false and infra=true plus a PointFailure entry, and the
+ * remaining points complete normally. Rerunning the same sweep with
+ * isolation off reproduces the failure in-process, where a debugger
+ * can catch it.
  */
 class SweepRunner : public stats::StatGroup
 {
@@ -279,6 +274,14 @@ class SweepRunner : public stats::StatGroup
     void setRobust(const RobustConfig &robust);
     RobustConfig robust() const;
 
+    /**
+     * Test-only: called with each point at the start of its execution,
+     * inside the forked worker when isolated. A test hook crashes,
+     * hangs or throws from here; null (the default) does nothing.
+     * Set it before run(), never during one.
+     */
+    void setPointHook(std::function<void(const SweepPoint &)> hook);
+
     /** Structured failures from the most recent run() batch. */
     std::vector<PointFailure> lastFailures() const;
 
@@ -290,8 +293,8 @@ class SweepRunner : public stats::StatGroup
     stats::Scalar cacheHits;     ///< served from the on-disk cache
     stats::Scalar cacheMisses;   ///< required a detailed simulation
     stats::Scalar pointsFailed;  ///< completed with !Measurement::ok
-    stats::Scalar pointsInfraFailed; ///< infra failures after retries
-    stats::Scalar pointsRetried; ///< extra attempts beyond the first
+    stats::Scalar pointsInfraFailed; ///< crashes, kills, escapes
+    stats::Scalar pointsRetried; ///< always 0; kept for perfbench
     stats::Scalar pointsTimedOut; ///< point deadlines that expired
     stats::Scalar sweepSeconds;  ///< wall-clock across batches
     stats::Formula pointsPerSec; ///< lifetime throughput
@@ -317,27 +320,16 @@ class SweepRunner : public stats::StatGroup
     Measurement executePoint(const SweepPoint &point) const;
 
     /**
-     * The full attempt loop for one point: isolation, deadline,
-     * retries with backoff. Returns either a genuine Measurement
-     * (cacheable, even when !ok) or an infra-failure Measurement
-     * (infra=true, never cached). Reports the attempts consumed and
-     * deadline expirations for the batch counters.
+     * The one attempt at a point that missed the cache: forked when
+     * robust.isolate (in-process when no worker can be forked), with
+     * the deadline. Returns either a genuine Measurement (cacheable,
+     * even when !ok) or an infra-failure Measurement (infra=true,
+     * never cached); sets timedOut when the deadline killed the
+     * worker.
      */
-    Measurement runPointAttempts(const SweepPoint &point,
-                                 const RobustConfig &robust,
-                                 unsigned &attempts,
-                                 unsigned &timeouts) const;
-
-    /**
-     * One forked attempt. True when the child completed and out is
-     * valid (including child-reported simulator errors, which are
-     * deterministic and not retried); false on a crash or deadline
-     * kill, which are retryable.
-     */
-    bool runIsolated(const SweepPoint &point,
-                     const RobustConfig &robust, unsigned attempt,
-                     Measurement &out, std::string &error,
-                     bool &timedOut) const;
+    Measurement attemptPoint(const SweepPoint &point,
+                             const RobustConfig &robust,
+                             bool &timedOut) const;
 
     /** Stable lane id for the calling thread (0 = submitting thread). */
     int hostLaneFor(telemetry::ChromeTraceWriter &writer);
@@ -346,6 +338,7 @@ class SweepRunner : public stats::StatGroup
     ResultCache cache_;
     std::unique_ptr<ThreadPool> ownedPool_;
     ThreadPool *pool_;
+    std::function<void(const SweepPoint &)> pointHook_;
 
     mutable std::mutex robustMutex_; ///< guards config_.robust
     mutable std::mutex failuresMutex_;

@@ -188,9 +188,6 @@ simMain(int argc, char **argv)
     opts.add("point-timeout", "",
              "sweep mode: per-point deadline in seconds, enforced in "
              "isolate mode (empty = VCA_POINT_TIMEOUT)");
-    opts.add("retries", "",
-             "sweep mode: extra attempts after a worker crash or "
-             "timeout (empty = VCA_RETRIES, default 2)");
     opts.add("list-benches", "false", "list bundled benchmarks and exit");
     opts.add("quiet", "true", "suppress warnings");
     opts.add("help", "false", "show this help");
@@ -322,13 +319,6 @@ simMain(int argc, char **argv)
                 fatal("invalid --point-timeout='%s' (want seconds >= 0)",
                       timeout.c_str());
             }
-            const std::string retries = opts.get("retries");
-            if (!retries.empty() &&
-                !analysis::RobustConfig::parseRetries(retries.c_str(),
-                                                      robust.retries)) {
-                fatal("invalid --retries='%s' (want an integer >= 0)",
-                      retries.c_str());
-            }
             runner.setRobust(robust);
         }
         std::unique_ptr<telemetry::ChromeTraceWriter> chromeWriter;
@@ -392,18 +382,19 @@ simMain(int argc, char **argv)
                         host.funcSeconds.value(), host.funcInsts.value(),
                         host.funcMips.value());
         }
-        // Points that exhausted their retry budget: the table above
-        // shows them as n/a; spell out why on stderr and exit nonzero
-        // so scripts notice a degraded sweep.
+        // Failed points: the table above shows them as n/a; spell out
+        // why on stderr and exit nonzero so scripts notice a degraded
+        // sweep. The simulator is deterministic, so the same command
+        // in-process fails the same way, under a debugger if need be.
         const auto failures = runner.lastFailures();
         if (!failures.empty()) {
-            std::fprintf(stderr,
-                         "sweep: %zu point(s) failed after retries:\n",
+            std::fprintf(stderr, "sweep: %zu point(s) failed:\n",
                          failures.size());
             for (const auto &f : failures) {
-                std::fprintf(stderr, "  %s: %s (%u attempt%s)\n",
-                             f.label.c_str(), f.error.c_str(),
-                             f.attempts, f.attempts == 1 ? "" : "s");
+                std::fprintf(stderr,
+                             "  %s: %s (reproduce in-process: rerun "
+                             "with --isolate=false)\n",
+                             f.label.c_str(), f.error.c_str());
             }
             return 3;
         }
