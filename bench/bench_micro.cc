@@ -65,23 +65,35 @@ BM_FunctionalSim(benchmark::State &state)
 }
 BENCHMARK(BM_FunctionalSim);
 
-/** Whole-program run() (the path-length and fast-forward engine);
- *  Arg(0) is the flat binary, Arg(1) the windowed one. Items are
- *  instructions, so the rate is the engine's instructions/s. */
+/** Whole-program run() (the path-length and fast-forward engine).
+ *  Arg(0) is crafty's flat binary, Arg(1) its windowed one; Arg(2)
+ *  runs all 44 bundled binaries (every benchmark, both ABIs) per
+ *  iteration, the figure benches' path-length step on its own. Items
+ *  are instructions, so the rate is the engine's instructions/s. */
 void
 BM_FunctionalRun(benchmark::State &state)
 {
-    const isa::Program *prog = wload::cachedProgram(
-        wload::profileByName("crafty"), state.range(0) != 0);
+    std::vector<const isa::Program *> progs;
+    if (state.range(0) == 2) {
+        for (const wload::BenchProfile &prof : wload::spec2000Profiles())
+            for (const bool windowed : {false, true})
+                progs.push_back(wload::cachedProgram(prof, windowed));
+    } else {
+        progs.push_back(wload::cachedProgram(
+            wload::profileByName("crafty"), state.range(0) != 0));
+    }
     InstCount insts = 0;
     for (auto _ : state) {
-        mem::SparseMemory memory;
-        func::FuncSim sim(*prog, memory);
-        insts += sim.run().insts;
+        for (const isa::Program *prog : progs) {
+            mem::SparseMemory memory;
+            func::FuncSim sim(*prog, memory);
+            insts += sim.run().insts;
+        }
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(insts));
 }
-BENCHMARK(BM_FunctionalRun)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FunctionalRun)->Arg(0)->Arg(1)->Arg(2)->Unit(
+    benchmark::kMillisecond);
 
 /** One cache access per iteration. Arg(0): random data addresses over
  *  4 MiB, each a full tag check. Arg(1): instruction fetch around a

@@ -12,9 +12,9 @@ BranchPredictor::BranchPredictor(const BPredParams &params,
       rasMispredicts(this, "ras_mispredicts", "mispredicted RET targets"),
       params_(params)
 {
-    bimodal_.assign(size_t(1) << params_.bimodalBits, 1);
-    gshare_.assign(size_t(1) << params_.gshareBits, 1);
-    chooser_.assign(size_t(1) << params_.chooserBits, 2);
+    bimodal_.assign(size_t(1) << params_.bimodalBits, kDirectionReset);
+    gshare_.assign(size_t(1) << params_.gshareBits, kDirectionReset);
+    chooser_.assign(size_t(1) << params_.chooserBits, kChooserReset);
     threads_.resize(numThreads);
     for (auto &t : threads_)
         t.ras.assign(params_.rasEntries, 0);
@@ -103,10 +103,10 @@ BranchPredictor::update(ThreadId tid, Addr pc, bool actualTaken,
     const bool bimCorrect = taken(bim) == actualTaken;
     const bool gshCorrect = taken(gsh) == actualTaken;
     if (bimCorrect != gshCorrect)
-        train(cho, gshCorrect);
+        train(cho, gshCorrect, kChooserReset);
 
-    train(bim, actualTaken);
-    train(gsh, actualTaken);
+    train(bim, actualTaken, kDirectionReset);
+    train(gsh, actualTaken, kDirectionReset);
 }
 
 } // namespace vca::bpred

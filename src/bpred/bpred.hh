@@ -91,16 +91,7 @@ class BranchPredictor : public stats::StatGroup
     {
         const size_t total =
             bimodal_.size() + gshare_.size() + chooser_.size();
-        if (!total)
-            return 0;
-        size_t trained = 0;
-        for (Counter c : bimodal_)
-            trained += c != 1 ? 1 : 0;
-        for (Counter c : gshare_)
-            trained += c != 1 ? 1 : 0;
-        for (Counter c : chooser_)
-            trained += c != 2 ? 1 : 0;
-        return double(trained) / double(total);
+        return total ? double(trained_) / double(total) : 0;
     }
 
     stats::Scalar lookups;
@@ -110,15 +101,24 @@ class BranchPredictor : public stats::StatGroup
   private:
     using Counter = std::uint8_t; ///< 2-bit saturating
 
+    /** Reset values: bimodal and gshare weakly not-taken, the chooser
+     *  weakly gshare. */
+    static constexpr Counter kDirectionReset = 1;
+    static constexpr Counter kChooserReset = 2;
+
     static bool taken(Counter c) { return c >= 2; }
 
-    static void
-    train(Counter &c, bool t)
+    /** Step @p c toward @p t, keeping trained_ in step with whether it
+     *  is away from its reset value @p reset. */
+    void
+    train(Counter &c, bool t, Counter reset)
     {
+        const bool wasTrained = c != reset;
         if (t && c < 3)
             ++c;
         else if (!t && c > 0)
             --c;
+        trained_ = trained_ - wasTrained + (c != reset);
     }
 
     size_t
@@ -137,6 +137,8 @@ class BranchPredictor : public stats::StatGroup
     std::vector<Counter> bimodal_;
     std::vector<Counter> gshare_;
     std::vector<Counter> chooser_;
+    /** Counters of the three tables away from their reset value. */
+    size_t trained_ = 0;
 
     struct ThreadState
     {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <iterator>
 
 #include "isa/semantics.hh"
 #include "sim/logging.hh"
@@ -51,6 +52,12 @@ FuncSim::FuncSim(const isa::Program &prog, mem::SparseMemory &memory)
         ops_.push_back(op);
     }
     ops_.push_back(Op{});
+    // Straight-run lengths, back to front: each op's is its
+    // successor's plus one, and 0 for a control op or Halt.
+    for (Addr pc = prog.size(); pc-- > 0;) {
+        const isa::StaticInst &si = prog.inst(pc);
+        ops_[pc].run = si.isControl() || si.isHalt ? 0 : ops_[pc + 1].run + 1;
+    }
 
     if (windowed_)
         loadFrame();
@@ -152,19 +159,70 @@ FuncSim::trace(InstCount maxInsts, TraceRecord *out)
     return halted_ ? 0 : execute<true>(maxInsts, out);
 }
 
-// One case per ALU/FP opcode, so each inlines only its own arithmetic.
-#define VCA_ALU_CASE(OPC)                                               \
-      case Opcode::OPC:                                                 \
-        set(o.dst, isa::aluResult(Opcode::OPC, r[o.src0], r[o.src1],    \
-                                  o.imm));                              \
-        break;
+// Every opcode in enum order: the threaded-dispatch table in execute()
+// is built from this list, and the static_assert keeps the two in step.
+#define VCA_OPCODES(X)                                                  \
+    X(Nop) X(Halt)                                                      \
+    X(Add) X(Sub) X(Mul) X(Div) X(And) X(Or) X(Xor) X(Sll) X(Srl)       \
+    X(Sra) X(Slt) X(Sltu)                                               \
+    X(Addi) X(Andi) X(Ori) X(Xori) X(Slli) X(Srli) X(Srai) X(Slti)      \
+    X(Lui)                                                              \
+    X(Ld) X(St) X(Fld) X(Fst)                                           \
+    X(Fadd) X(Fsub) X(Fmul) X(Fdiv) X(Fneg) X(Fmov) X(Fcvtif)           \
+    X(Fcvtfi) X(Feq) X(Flt)                                             \
+    X(Beq) X(Bne) X(Blt) X(Bge) X(Jmp) X(Call) X(Ret)
+
+namespace {
+
+#define VCA_OPCODE_VALUE(OPC) Opcode::OPC,
+constexpr Opcode kOpcodeOrder[] = {VCA_OPCODES(VCA_OPCODE_VALUE)};
+#undef VCA_OPCODE_VALUE
+
+constexpr bool
+listsEveryOpcodeInOrder()
+{
+    if (std::size(kOpcodeOrder) != std::size_t(Opcode::NumOpcodes))
+        return false;
+    for (std::size_t i = 0; i < std::size(kOpcodeOrder); ++i)
+        if (kOpcodeOrder[i] != Opcode(i))
+            return false;
+    return true;
+}
+static_assert(listsEveryOpcodeInOrder(),
+              "VCA_OPCODES must list every opcode in enum order");
+
+} // namespace
+
+// The end of every straight-run handler: record the op in trace mode,
+// then jump straight to the next op's handler, or leave the run. The
+// handlers' tails are otherwise identical, and GCC cross-jumps
+// identical tails into one shared indirect jump, which predicts worse;
+// the empty asm, whose operand differs per handler (__COUNTER__),
+// keeps one jump per handler.
+#define VCA_NEXT(IS_MEM, EA)                                            \
+    if constexpr (Trace) {                                              \
+        const Addr opPc = static_cast<Addr>(o - ops);                   \
+        *out++ = TraceRecord{opPc, opPc + 1, IS_MEM, EA};               \
+    }                                                                   \
+    if (++o == end)                                                     \
+        goto runDone;                                                   \
+    asm volatile("" : : "i"(__COUNTER__));                              \
+    goto *handler[static_cast<unsigned>(o->op)];
+
+// One handler per ALU/FP opcode, so each inlines only its own
+// arithmetic.
+#define VCA_ALU_OP(OPC)                                                 \
+  op_##OPC:                                                             \
+    set(o->dst, isa::aluResult(Opcode::OPC, r[o->src0], r[o->src1],     \
+                               o->imm));                                \
+    VCA_NEXT(false, 0)
 
 #define VCA_BRANCH_CASE(OPC)                                            \
       case Opcode::OPC:                                                 \
         ++s.condBranches;                                               \
-        if (isa::branchTaken(Opcode::OPC, r[o.src0], r[o.src1])) {      \
+        if (isa::branchTaken(Opcode::OPC, r[o->src0], r[o->src1])) {    \
             ++s.takenCondBranches;                                      \
-            npc = pc + 1 + o.imm;                                       \
+            npc = pc + 1 + o->imm;                                      \
         }                                                               \
         break;
 
@@ -172,6 +230,12 @@ template <bool Trace>
 InstCount
 FuncSim::execute(InstCount maxInsts, TraceRecord *out)
 {
+    // Straight-run handlers indexed by opcode (GCC/Clang labels as
+    // values). A control op or Halt ends a run, so its entry panics.
+#define VCA_HANDLER_ADDRESS(OPC) &&op_##OPC,
+    static const void *const handler[] = {VCA_OPCODES(VCA_HANDLER_ADDRESS)};
+#undef VCA_HANDLER_ADDRESS
+
     // The loop state lives in locals; it goes back to the members, and
     // the written frame slots to memory, on the way out.
     std::uint64_t *const r = regs_;
@@ -206,51 +270,44 @@ FuncSim::execute(InstCount maxInsts, TraceRecord *out)
         return maxInsts - left;
     };
 
-    for (; left; --left) {
-        const Op &o = ops[std::min(pc, haltPc)];
-        if constexpr (Trace) {
-            out->pc = pc;
-            out->isMem = false;
-            out->effAddr = 0;
-        }
-        Addr npc = pc + 1;
+    while (left) {
+        // Only a control transfer can leave the image, so the clamp is
+        // once per run: every pc inside a run is on the image.
+        const Op *o = ops + std::min(pc, haltPc);
+        if (o->run) {
+            const InstCount n = std::min<InstCount>(o->run, left);
+            const Op *const end = o + n;
+            goto *handler[static_cast<unsigned>(o->op)];
 
-        switch (o.op) {
-          case Opcode::Nop:
-            break;
-          case Opcode::Halt:
-            halted_ = true;
-            return finish();
+          op_Nop:
+            VCA_NEXT(false, 0)
 
-          VCA_ALU_CASE(Add) VCA_ALU_CASE(Sub) VCA_ALU_CASE(Mul)
-          VCA_ALU_CASE(Div) VCA_ALU_CASE(And) VCA_ALU_CASE(Or)
-          VCA_ALU_CASE(Xor) VCA_ALU_CASE(Sll) VCA_ALU_CASE(Srl)
-          VCA_ALU_CASE(Sra) VCA_ALU_CASE(Slt) VCA_ALU_CASE(Sltu)
-          VCA_ALU_CASE(Addi) VCA_ALU_CASE(Andi) VCA_ALU_CASE(Ori)
-          VCA_ALU_CASE(Xori) VCA_ALU_CASE(Slli) VCA_ALU_CASE(Srli)
-          VCA_ALU_CASE(Srai) VCA_ALU_CASE(Slti) VCA_ALU_CASE(Lui)
-          VCA_ALU_CASE(Fadd) VCA_ALU_CASE(Fsub) VCA_ALU_CASE(Fmul)
-          VCA_ALU_CASE(Fdiv) VCA_ALU_CASE(Fneg) VCA_ALU_CASE(Fmov)
-          VCA_ALU_CASE(Fcvtif) VCA_ALU_CASE(Fcvtfi)
-          VCA_ALU_CASE(Feq) VCA_ALU_CASE(Flt)
+          VCA_ALU_OP(Add) VCA_ALU_OP(Sub) VCA_ALU_OP(Mul) VCA_ALU_OP(Div)
+          VCA_ALU_OP(And) VCA_ALU_OP(Or) VCA_ALU_OP(Xor) VCA_ALU_OP(Sll)
+          VCA_ALU_OP(Srl) VCA_ALU_OP(Sra) VCA_ALU_OP(Slt) VCA_ALU_OP(Sltu)
+          VCA_ALU_OP(Addi) VCA_ALU_OP(Andi) VCA_ALU_OP(Ori)
+          VCA_ALU_OP(Xori) VCA_ALU_OP(Slli) VCA_ALU_OP(Srli)
+          VCA_ALU_OP(Srai) VCA_ALU_OP(Slti) VCA_ALU_OP(Lui)
+          VCA_ALU_OP(Fadd) VCA_ALU_OP(Fsub) VCA_ALU_OP(Fmul)
+          VCA_ALU_OP(Fdiv) VCA_ALU_OP(Fneg) VCA_ALU_OP(Fmov)
+          VCA_ALU_OP(Fcvtif) VCA_ALU_OP(Fcvtfi) VCA_ALU_OP(Feq)
+          VCA_ALU_OP(Flt)
 
-          case Opcode::Ld: case Opcode::Fld: {
-            const Addr ea = (r[o.src0] + o.imm) & ~Addr(7);
+          op_Ld:
+          op_Fld: {
+            const Addr ea = (r[o->src0] + o->imm) & ~Addr(7);
             // The load may read a register-space word the frame cache
             // holds newer than memory.
             if (ea >= layout::regSpaceBase)
                 syncFrame();
-            set(o.dst, mem_.read(ea));
+            set(o->dst, mem_.read(ea));
             ++s.loads;
-            if constexpr (Trace) {
-                out->isMem = true;
-                out->effAddr = ea;
-            }
-            break;
+            VCA_NEXT(true, ea)
           }
-          case Opcode::St: case Opcode::Fst: {
-            const Addr ea = (r[o.src0] + o.imm) & ~Addr(7);
-            const std::uint64_t data = r[o.src1];
+          op_St:
+          op_Fst: {
+            const Addr ea = (r[o->src0] + o->imm) & ~Addr(7);
+            const std::uint64_t data = r[o->src1];
             if (ea >= layout::regSpaceBase) {
                 syncFrame();
                 const Addr off = ea - wbp_;
@@ -259,18 +316,33 @@ FuncSim::execute(InstCount maxInsts, TraceRecord *out)
             }
             mem_.write(ea, data);
             ++s.stores;
-            if constexpr (Trace) {
-                out->isMem = true;
-                out->effAddr = ea;
-            }
-            break;
+            VCA_NEXT(true, ea)
           }
+
+          op_Halt: op_Beq: op_Bne: op_Blt: op_Bge: op_Jmp: op_Call:
+          op_Ret:
+            panic("FuncSim: unhandled opcode");
+
+          runDone:
+            pc += n;
+            left -= n;
+            if (!left)
+                break;
+        }
+
+        // o ends the run: a control op or Halt.
+        Addr npc = pc + 1;
+
+        switch (o->op) {
+          case Opcode::Halt:
+            halted_ = true;
+            return finish();
 
           VCA_BRANCH_CASE(Beq) VCA_BRANCH_CASE(Bne)
           VCA_BRANCH_CASE(Blt) VCA_BRANCH_CASE(Bge)
 
           case Opcode::Jmp:
-            npc = static_cast<Addr>(o.imm);
+            npc = static_cast<Addr>(o->imm);
             break;
 
           case Opcode::Call:
@@ -280,12 +352,12 @@ FuncSim::execute(InstCount maxInsts, TraceRecord *out)
             if (windowed_)
                 moveWindow(wbp_ - layout::windowFrameBytes);
             // ra is written in the callee's context.
-            set(o.dst, pc + 1);
-            npc = static_cast<Addr>(o.imm);
+            set(o->dst, pc + 1);
+            npc = static_cast<Addr>(o->imm);
             break;
           case Opcode::Ret:
             // ra is read in the callee's (current) context.
-            npc = r[o.src0];
+            npc = r[o->src0];
             if (windowed_)
                 moveWindow(wbp_ + layout::windowFrameBytes);
             if (depth > 0)
@@ -296,16 +368,17 @@ FuncSim::execute(InstCount maxInsts, TraceRecord *out)
             panic("FuncSim: unhandled opcode");
         }
 
+        if constexpr (Trace)
+            *out++ = TraceRecord{pc, npc, false, 0};
         pc = npc;
-        if constexpr (Trace) {
-            out->npc = npc;
-            ++out;
-        }
+        --left;
     }
     return finish();
 }
 
-#undef VCA_ALU_CASE
+#undef VCA_OPCODES
+#undef VCA_NEXT
+#undef VCA_ALU_OP
 #undef VCA_BRANCH_CASE
 
 ArchState

@@ -18,10 +18,19 @@
  *   - a sink that absent destinations (r0 writes, stores, branches)
  *     name;
  *   - under the windowed ABI, the current window frame's 47 slots.
- * The engine has two modes over that image: run(), which only executes,
- * and trace(), which also records each executed instruction's pc, next
- * pc and effective address into a caller buffer. step() is a
- * one-instruction trace.
+ * Each op also holds the length of the straight run that starts at it:
+ * the ops up to, but not including, the next control op, Halt, or the
+ * trailing off-image Halt. The engine dispatches once per straight run,
+ * not once per instruction: it executes min(run, budget left) ops as a
+ * block, with no budget check, pc update or off-image clamp per op,
+ * then executes the control op that ends the run. Inside a run each
+ * opcode's handler ends in its own indirect jump to the next op's
+ * handler (labels-as-values threaded dispatch), so the host predicts
+ * each jump from the opcode it follows instead of from one shared
+ * switch. The engine has two modes over that image: run(), which only
+ * executes and advances pc once per run, and trace(), which also
+ * records each executed instruction's pc, next pc and effective
+ * address into a caller buffer. step() is a one-instruction trace.
  *
  * Frame cache. Under the windowed ABI a windowed register lives at its
  * memory-mapped logical-register address (exactly the VCA model).
@@ -187,6 +196,9 @@ class FuncSim
         std::uint8_t src0 = 0;
         std::uint8_t src1 = 0;
         std::int32_t imm = 0;
+        /** Ops in the straight run starting here: 0 for a control op
+         *  or Halt, else 1 + the next op's run. */
+        std::uint32_t run = 0;
     };
 
     /** regs_ layout: frame slots first, so "slot < windowSlots" is the

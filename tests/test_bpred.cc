@@ -1,12 +1,17 @@
 /**
  * @file
  * Unit tests for the hybrid branch predictor and the return-address
- * stack, including speculative-state checkpoint/restore.
+ * stack, including speculative-state checkpoint/restore and the
+ * table-occupancy count.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "bpred/bpred.hh"
+#include "sim/rng.hh"
 
 namespace {
 
@@ -120,6 +125,62 @@ TEST_F(BPredTest, RasWrapsWithoutCrashing)
     // Deepest pushes overwrote oldest; the most recent 16 are intact.
     for (Addr i = 0; i < 16; ++i)
         EXPECT_EQ(bp_.popRas(0, c), 1000 + 99 - i);
+}
+
+TEST_F(BPredTest, TableOccupancyMatchesARecount)
+{
+    // Random branches on both threads, checked against a recount of a
+    // reference copy of the three tables kept with the predictor's
+    // indexing and training rules. Outcomes are a coin flip, so
+    // counters also train back to their reset value.
+    const BPredParams params;
+    std::vector<std::uint8_t> bim(size_t(1) << params.bimodalBits, 1);
+    std::vector<std::uint8_t> gsh(size_t(1) << params.gshareBits, 1);
+    std::vector<std::uint8_t> cho(size_t(1) << params.chooserBits, 2);
+    const std::uint64_t mask = (std::uint64_t(1) << params.historyBits) - 1;
+    const auto train = [](std::uint8_t &c, bool t) {
+        if (t && c < 3)
+            ++c;
+        else if (!t && c > 0)
+            --c;
+    };
+    const auto recount = [&] {
+        size_t trained = 0;
+        for (std::uint8_t c : bim)
+            trained += c != 1;
+        for (std::uint8_t c : gsh)
+            trained += c != 1;
+        for (std::uint8_t c : cho)
+            trained += c != 2;
+        return double(trained) / double(bim.size() + gsh.size() + cho.size());
+    };
+
+    EXPECT_EQ(bp_.tableOccupancy(), 0.0);
+    Rng rng(22);
+    BPredCheckpoint ckpt;
+    for (unsigned i = 1; i <= 20'000; ++i) {
+        const ThreadId tid = static_cast<ThreadId>(rng.below(2));
+        const Addr pc = rng.below(3000);
+        const bool taken = rng.below(2) != 0;
+        const bool pred = bp_.predict(tid, pc, ckpt);
+        bp_.update(tid, pc, taken, ckpt.history);
+        if (pred != taken)
+            bp_.repairHistory(tid, ckpt, taken);
+
+        std::uint8_t &b = bim[pc & (bim.size() - 1)];
+        std::uint8_t &g = gsh[(pc ^ (ckpt.history & mask)) & (gsh.size() - 1)];
+        std::uint8_t &c = cho[pc & (cho.size() - 1)];
+        const bool bimCorrect = (b >= 2) == taken;
+        const bool gshCorrect = (g >= 2) == taken;
+        if (bimCorrect != gshCorrect)
+            train(c, gshCorrect);
+        train(b, taken);
+        train(g, taken);
+        if (i % 64 == 0) {
+            ASSERT_EQ(bp_.tableOccupancy(), recount()) << "update " << i;
+        }
+    }
+    EXPECT_GT(bp_.tableOccupancy(), 0.0);
 }
 
 } // namespace

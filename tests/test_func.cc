@@ -4,13 +4,17 @@
  * windowed ABI (window shifting, cross-window isolation, deep
  * recursion), hand-written program execution, and the engine's
  * properties: the frame cache stays coherent with the memory image,
- * and run() in any chunking equals single steps.
+ * run() in any chunking equals single steps, and a budget or branch
+ * target at any point of a straight run (the block the engine executes
+ * between control ops) gives what single steps give.
  */
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "func/func_sim.hh"
 #include "isa/program.hh"
@@ -822,6 +826,183 @@ TEST(FuncSim, TraceChunksMatchStepsOnGeneratedProfiles)
             expectSameImage(mOnce, mTrace, label + " trace");
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Straight-run boundaries: the engine executes the ops between control
+// ops as one block, so a budget that ends inside, at the end of or past
+// a run, a branch into a run's middle and a run that walks off the
+// image must all end where single steps end.
+// ---------------------------------------------------------------------
+
+/**
+ * For every budget k from 0 to one past the halt, run(k) and trace(k),
+ * each from a fresh FuncSim, end in the statistics, architectural
+ * state, memory image and pages of k step() calls, and trace() records
+ * what the steps report. Each then resumes to the halt and agrees
+ * again. @return the number of instructions to the halt.
+ */
+InstCount
+expectBudgetsMatchSteps(const isa::Program &p, const std::string &name)
+{
+    // The programs halt within a few dozen instructions; the bound
+    // turns an engine that stops advancing into a failure, not a hang.
+    constexpr InstCount kMaxInsts = 1000;
+    InstCount total = 0;
+    {
+        mem::SparseMemory m;
+        func::FuncSim sim(p, m);
+        func::StepRecord rec;
+        while (total < kMaxInsts && sim.step(rec))
+            ++total;
+        EXPECT_TRUE(sim.halted()) << name << ": no halt in " << kMaxInsts;
+        if (!sim.halted())
+            return total;
+    }
+    for (InstCount k = 0; k <= total + 1; ++k) {
+        const std::string label = name + " budget " + std::to_string(k);
+        mem::SparseMemory mRun, mTrace, mSteps;
+        func::FuncSim run(p, mRun), traced(p, mTrace), steps(p, mSteps);
+        std::vector<func::StepRecord> recs;
+        func::StepRecord rec;
+        for (InstCount i = 0; i < k && steps.step(rec); ++i)
+            recs.push_back(rec);
+        run.run(k);
+        std::vector<func::TraceRecord> trace(total + 1);
+        EXPECT_EQ(traced.trace(k, trace.data()), recs.size()) << label;
+        for (size_t i = 0; i < recs.size(); ++i) {
+            EXPECT_EQ(trace[i].pc, recs[i].pc) << label << " record " << i;
+            EXPECT_EQ(trace[i].npc, recs[i].npc) << label << " record " << i;
+            EXPECT_EQ(trace[i].isMem, recs[i].isMem) << label;
+            EXPECT_EQ(trace[i].effAddr, recs[i].effAddr) << label;
+        }
+        expectSameState(steps, run, label + " run");
+        expectSameState(steps, traced, label + " trace");
+        expectSameImage(mSteps, mRun, label + " run");
+        expectSameImage(mSteps, mTrace, label + " trace");
+
+        while (steps.step(rec)) {
+        }
+        run.run();
+        traced.trace(total + 1, trace.data());
+        EXPECT_TRUE(steps.halted()) << label;
+        expectSameState(steps, run, label + " run resumed");
+        expectSameState(steps, traced, label + " trace resumed");
+        expectSameImage(mSteps, mRun, label + " run resumed");
+        expectSameImage(mSteps, mTrace, label + " trace resumed");
+    }
+    return total;
+}
+
+TEST(FuncSim, BudgetEndsInsideAtAndPastAStraightRun)
+{
+    // A four-op run, a taken branch over one op, a two-op run, Halt.
+    AsmBuilder b;
+    auto target = b.newLabel();
+    b.addi(4, regZero, 1);
+    b.addi(5, 4, 2);
+    b.addi(6, 5, 3);
+    b.addi(7, 6, 4);
+    b.branch(Opcode::Beq, regZero, regZero, target);
+    b.addi(8, regZero, 99);  // skipped
+    b.bind(target);
+    b.addi(9, 7, 1);
+    b.halt();
+    const isa::Program p = makeProgram(b);
+    EXPECT_EQ(expectBudgetsMatchSteps(p, "beq"), 6u);
+
+    // Where each budget leaves pc: 3 is one op inside the first run,
+    // 5 ends exactly on its branch, 6 on Halt.
+    const std::pair<InstCount, Addr> stops[] = {{3, 3}, {4, 4}, {5, 6},
+                                                {6, 7}, {7, 7}};
+    for (const auto &[budget, pc] : stops) {
+        mem::SparseMemory m;
+        func::FuncSim sim(p, m);
+        EXPECT_EQ(sim.run(budget).insts, std::min<InstCount>(budget, 6));
+        EXPECT_EQ(sim.pc(), pc) << "budget " << budget;
+        EXPECT_EQ(sim.halted(), budget > 6) << "budget " << budget;
+    }
+    mem::SparseMemory m;
+    func::FuncSim sim(p, m);
+    sim.run();
+    EXPECT_EQ(sim.readIntReg(7), 10u);
+    EXPECT_EQ(sim.readIntReg(8), 0u);
+    EXPECT_EQ(sim.readIntReg(9), 11u);
+}
+
+TEST(FuncSim, BranchIntoTheMiddleOfAStraightRun)
+{
+    // The loop branches back to the third op of the five-op run that
+    // starts the program, so each later pass runs a three-op suffix.
+    AsmBuilder b;
+    auto loop = b.newLabel();
+    b.addi(4, regZero, 3);
+    b.addi(5, regZero, 0);
+    b.bind(loop);
+    b.addi(5, 5, 1);
+    b.addi(6, 5, 7);
+    b.addi(4, 4, -1);
+    b.branch(Opcode::Bne, 4, regZero, loop);
+    b.halt();
+    const isa::Program p = makeProgram(b);
+    EXPECT_EQ(expectBudgetsMatchSteps(p, "loop"), 14u);
+
+    mem::SparseMemory m;
+    func::FuncSim sim(p, m);
+    sim.run(8); // the first pass, the branch back, then two ops
+    EXPECT_EQ(sim.pc(), 4u);
+    EXPECT_EQ(sim.readIntReg(5), 2u);
+    sim.run();
+    EXPECT_EQ(sim.readIntReg(5), 3u);
+    EXPECT_EQ(sim.readIntReg(6), 10u);
+    EXPECT_EQ(sim.stats().takenCondBranches, 2u);
+}
+
+TEST(FuncSim, StraightRunWalksOffTheImageIntoHalt)
+{
+    // The last code word is not a control op: the run ends at the
+    // off-image Halt, with pc one past the image.
+    AsmBuilder b;
+    b.addi(4, regZero, 1);
+    b.addi(5, 4, 1);
+    b.addi(6, 5, 1);
+    const isa::Program p = makeProgram(b);
+    EXPECT_EQ(expectBudgetsMatchSteps(p, "off-image"), 3u);
+
+    mem::SparseMemory m;
+    func::FuncSim sim(p, m);
+    EXPECT_EQ(sim.run().insts, 3u);
+    EXPECT_TRUE(sim.halted());
+    EXPECT_EQ(sim.pc(), p.size());
+    EXPECT_EQ(sim.readIntReg(6), 3u);
+}
+
+TEST(FuncSim, FrameStoreInsideAStraightRunIsReadLaterInIt)
+{
+    // Windowed ABI: a store to the current frame's r10 and later reads
+    // of r10, all in one straight run, see the stored value.
+    const Addr w0 = layout::initialWindowPointer();
+    AsmBuilder b;
+    b.li(3, w0);
+    b.addi(10, regZero, 5);
+    b.addi(12, regZero, 77);
+    b.st(3, 12, static_cast<std::int32_t>(slotAddr(0, 10)));
+    b.mov(5, 10);
+    b.emitR(Opcode::Add, 6, 10, 10);
+    b.addi(10, 10, 1);
+    b.halt();
+    const isa::Program p = makeProgram(b, true);
+    for (Addr pc = 0; pc + 1 < p.size(); ++pc)
+        ASSERT_FALSE(p.inst(pc).isControl()) << "pc " << pc;
+    expectBudgetsMatchSteps(p, "frame store");
+
+    mem::SparseMemory m;
+    func::FuncSim sim(p, m);
+    sim.run();
+    ASSERT_TRUE(sim.halted());
+    EXPECT_EQ(sim.readIntReg(5), 77u);
+    EXPECT_EQ(sim.readIntReg(6), 154u);
+    EXPECT_EQ(m.read(slotAddr(w0, 10)), 78u);
 }
 
 } // namespace

@@ -180,8 +180,9 @@ expectQuarantineAndRepair(
     EXPECT_FALSE(reader.cache().load(point, loaded))
         << "a damaged entry must read as a miss, never as data";
     EXPECT_EQ(reader.cache().quarantined(), 1u);
-    if (expectSchemaMiss)
+    if (expectSchemaMiss) {
         EXPECT_EQ(reader.cache().schemaMisses(), 1u);
+    }
 
     // The damaged bytes moved aside for post-mortem...
     EXPECT_TRUE(fs::exists(fs::path(dir) / "quarantine"));
@@ -314,8 +315,9 @@ TEST(RobustCache, ConcurrentTornReadsNeverCrash)
     });
     for (int i = 0; i < 200; ++i) {
         Measurement out;
-        if (runner.cache().load(point, out))
+        if (runner.cache().load(point, out)) {
             EXPECT_EQ(out, ref);
+        }
     }
     stop.store(true);
     writer.join();

@@ -107,8 +107,9 @@ TEST(ChromeTrace, SchemaRoundTrip)
         const auto key = std::make_pair(ev.find("pid")->asNumber(),
                                         ev.find("tid")->asNumber());
         const double ts = ev.find("ts")->asNumber();
-        if (lastTs.count(key))
+        if (lastTs.count(key)) {
             EXPECT_GE(ts, lastTs[key]);
+        }
         lastTs[key] = ts;
         if (ph == "B") {
             ++depth[key];

@@ -254,8 +254,9 @@ TEST_F(TraceTest, RealRunSatisfiesStageOrderInvariants)
         EXPECT_GT(rec.seq, lastSeq);
         lastCommit = rec.commit;
         lastSeq = rec.seq;
-        if (rec.isStore)
+        if (rec.isStore) {
             EXPECT_GE(rec.storeComplete, rec.commit);
+        }
     }
 }
 
